@@ -229,8 +229,8 @@ def build_loadcurve(
     ``keyed_runs`` yields ``((platform_label, rate), runs)`` pairs —
     exactly ``zip(keys, results)`` of
     :func:`repro.run.campaign.loadcurve_tasks` output.  Every run must
-    carry its latency sketches (the open-loop workloads record them
-    unconditionally, and checkpointed runs serialize them).
+    carry its latency sketches (every run records them, and
+    checkpointed runs serialize them).
     """
     merged: dict[tuple[str, float], QuantileSketch] = {}
     makespans: dict[tuple[str, float], float] = {}

@@ -386,14 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "engine (bit-identical report; composes with --jobs/--resume)",
     )
     rep_p.add_argument(
-        "--dist",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="record simulated latency distributions per cell (journaled "
-        "as cell-dist events; inspect with 'repro obs dist'); the "
-        "report itself is byte-identical either way",
-    )
-    rep_p.add_argument(
         "--adaptive-reps",
         action="store_true",
         help="adaptive repetition allocation: start sweep cells at "
@@ -547,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dist_p = obs_sub.add_parser(
         "dist",
-        help="tail-latency distributions recorded by a --dist campaign",
+        help="tail-latency distributions of a journaled campaign's "
+        "executed cells",
     )
     dist_p.add_argument("journal", help="journal file written by --journal")
     dist_p.add_argument(
@@ -1276,7 +1269,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             resume=args.resume,
             faults=faults,
             batch=args.batch,
-            dist=args.dist,
             reps_policy=reps_policy,
             trace=trace,
         )
@@ -1430,8 +1422,8 @@ def _cmd_obs_dist(args: argparse.Namespace, events) -> int:
     summary = summarize_journal(events)
     if not summary.dists:
         raise ReproError(
-            "the journal holds no cell-dist events; re-run the campaign "
-            "with --dist"
+            "the journal holds no cell-dist events: it records no executed "
+            "cells (every cell was replayed from the cache or checkpoints)"
         )
     try:
         percentiles = tuple(

@@ -79,7 +79,6 @@ def init_queue(
     shards: int = 4,
     lease_ttl: float = 30.0,
     batch: bool = False,
-    dist: bool = False,
     trace: bool = False,
     exist_ok: bool = False,
 ) -> ShardQueue:
@@ -99,8 +98,7 @@ def init_queue(
     directory = Path(directory)
     campaign = campaign or Campaign()
     manifest = manifest_for_campaign(
-        campaign, shards=shards, lease_ttl=lease_ttl, batch=batch, dist=dist,
-        trace=trace,
+        campaign, shards=shards, lease_ttl=lease_ttl, batch=batch, trace=trace,
     )
     if (directory / "manifest.json").exists():
         if not exist_ok:

@@ -127,7 +127,6 @@ def manifest_for_campaign(
     shards: int,
     lease_ttl: float,
     batch: bool = False,
-    dist: bool = False,
     trace: bool = False,
 ) -> dict:
     """The JSON manifest committing a campaign to a shard queue.
@@ -169,7 +168,6 @@ def manifest_for_campaign(
         "include": list(campaign.include),
         "host_cpus": host_cpus,
         "batch": bool(batch),
-        "dist": bool(dist),
         "lease_ttl": float(lease_ttl),
         "cells": len(refs),
         "shards": len(ranges),

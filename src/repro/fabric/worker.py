@@ -208,7 +208,6 @@ def run_worker(
                 faults=faults,
                 progress=lambda done, total, payload: queue.heartbeat(lease),
                 batch=bool(manifest.get("batch")),
-                dist=bool(manifest.get("dist")),
                 tracer=tracer,
             )
             t0 = time.perf_counter()

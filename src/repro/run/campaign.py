@@ -349,7 +349,6 @@ def run_campaign(
     resume: bool = False,
     faults: FaultInjector | None = None,
     batch: bool = False,
-    dist: bool = False,
     reps_policy: "AdaptiveRepsPolicy | None" = None,
     trace: TraceContext | None = None,
 ) -> CampaignResult:
@@ -373,7 +372,9 @@ def run_campaign(
     journal:
         Optional run journal; when attached, every cell/sweep lifecycle
         event of the campaign is streamed into it (see
-        :mod:`repro.obs`).  Results are identical with or without.
+        :mod:`repro.obs`), including one ``cell-dist`` event of merged
+        latency sketches per executed cell.  Results are identical with
+        or without.
     checkpoint:
         Optional :class:`~repro.run.persistence.CellStore`.  Attached to
         the runner so every completed cell is persisted as it finishes
@@ -395,12 +396,6 @@ def run_campaign(
         (:mod:`repro.engine.batch`).  Bit-for-bit identical reports;
         composes with ``jobs``, ``cache``, ``checkpoint``/``resume``
         and ``faults`` (fault-armed cells run scalar).
-    dist:
-        Record simulated latency distributions for every cell of every
-        experiment: mergeable quantile sketches journaled as
-        ``cell-dist`` events and folded into the runner's metrics
-        summaries (see :mod:`repro.obs.sketch`).  Measured values and
-        the generated report are byte-identical either way.
     reps_policy:
         Optional :class:`~repro.analysis.adaptive.AdaptiveRepsPolicy`.
         When given, the Figs. 3-6 sweeps run the CI-width rep
@@ -435,8 +430,6 @@ def run_campaign(
     runner = runner or ParallelRunner(jobs, journal=journal, batch=batch)
     if batch:
         runner.batch = True
-    if dist:
-        runner.dist = True
     if journal is not None and journal.enabled and not runner.journal.enabled:
         runner.journal = journal
     if checkpoint is not None and runner.checkpoint is None:

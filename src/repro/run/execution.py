@@ -80,30 +80,17 @@ def run_cell(
     host: HostTopology,
     calib: Calibration,
     streams: list[StreamSpec],
-    *,
-    dist: bool = False,
 ) -> list[RunResult]:
     """Run every repetition of one (platform, instance) cell.
 
     Each repetition rebuilds its generator from a self-contained
     :class:`~repro.rng.StreamSpec`, so this function produces identical
     results whether it runs in the campaign process or in a worker of
-    :class:`repro.run.parallel.ParallelRunner`.
-
-    With ``dist=True`` each repetition records its simulated latency
-    streams into a fresh :class:`~repro.obs.sketch.LatencyRecorder` and
-    carries the resulting sketches on ``RunResult.dist``; metric values
-    are byte-identical either way.  A workload that declares
-    ``always_dist = True`` (the open-loop request-per-arrival models,
-    whose entire output is the latency distribution) records
-    unconditionally.
+    :class:`repro.run.parallel.ParallelRunner`.  Every repetition
+    carries its simulated latency sketches on ``RunResult.dist``.
     """
-    dist = dist or bool(getattr(workload, "always_dist", False))
     return [
-        run_once(
-            workload, platform, host, calib, rng=s.make(), rep=s.rep,
-            latency=LatencyRecorder() if dist else None,
-        )
+        run_once(workload, platform, host, calib, rng=s.make(), rep=s.rep)
         for s in streams
     ]
 
@@ -123,7 +110,7 @@ class PreparedRun:
     sim: Simulator
     thrashed: bool
     rep: int
-    latency: LatencyRecorder | None = None
+    latency: LatencyRecorder
 
 
 def prepare_run(
@@ -136,9 +123,12 @@ def prepare_run(
     rep: int = 0,
     trace: TraceSink | None = None,
     profiler: "SchedProfiler | None" = None,
-    latency: LatencyRecorder | None = None,
 ) -> PreparedRun:
-    """Build one repetition up to a ready-to-run :class:`Simulator`."""
+    """Build one repetition up to a ready-to-run :class:`Simulator`.
+
+    The simulator feeds a fresh :class:`~repro.obs.sketch.LatencyRecorder`
+    with the repetition's simulated latency streams.
+    """
     calib = calib or Calibration()
     rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -159,6 +149,7 @@ def prepare_run(
     storage: StorageModel = getattr(workload, "storage_model", lambda: calib.storage)()
 
     overhead = assemble_overhead_model(host, platform, calib, workload, processes)
+    latency = LatencyRecorder()
     config = EngineConfig(
         capacity=float(instance.cores),
         overhead=overhead,
@@ -192,15 +183,12 @@ def finish_run(
         if workload.metric == "mean_response"
         else result.makespan
     )
-    dist = None
+    # per-operation responses and the repetition's simulated wall time
+    # join the engine-recorded wait streams; everything in the sketches
+    # is simulated, so distributions are deterministic
     lat = prep.latency
-    if lat is not None:
-        # per-operation responses and the repetition's simulated wall
-        # time join the engine-recorded wait streams; everything in the
-        # sketches is simulated, so distributions are deterministic
-        lat.observe_many("op", result.op_responses)
-        lat.observe("cell", result.makespan)
-        dist = lat.sketches()
+    lat.observe_many("op", result.op_responses)
+    lat.observe("cell", result.makespan)
     if metrics is not None:
         c = result.counters
         metrics.counter(
@@ -228,7 +216,7 @@ def finish_run(
         thrashed=prep.thrashed,
         rep=prep.rep,
         counters=result.counters,
-        dist=dist,
+        dist=lat.sketches(),
     )
 
 
@@ -243,7 +231,6 @@ def run_once(
     trace: TraceSink | None = None,
     metrics: MetricsRegistry | None = None,
     profiler: "SchedProfiler | None" = None,
-    latency: LatencyRecorder | None = None,
 ) -> RunResult:
     """Execute one configuration once and return its result.
 
@@ -272,13 +259,10 @@ def run_once(
         Optional :class:`~repro.trace.schedprof.SchedProfiler`; when
         given it observes this run and ``profiler.profile()`` is valid
         afterwards.  Results are byte-identical with and without it.
-    latency:
-        Optional :class:`~repro.obs.sketch.LatencyRecorder`; when given
-        it collects the run's simulated latency streams (``op``,
-        ``cell``, and the engine's ``io_wait`` / ``comm_wait`` /
-        ``barrier_wait``) and the resulting sketches ride on
-        ``RunResult.dist``.  Metric values are byte-identical with and
-        without it.
+
+    The run's simulated latency streams (``op``, ``cell``, and the
+    engine's ``io_wait`` / ``comm_wait`` / ``barrier_wait``) ride on
+    ``RunResult.dist`` as quantile sketches.
 
     When a span tracer has an open inline cell frame
     (:func:`repro.obs.trace_spans.active_tracer`), the two engine
@@ -299,7 +283,6 @@ def run_once(
             rep=rep,
             trace=trace,
             profiler=profiler,
-            latency=latency,
         )
         return finish_run(prep, prep.sim.run(), metrics=metrics)
     start = time.time()
@@ -313,7 +296,6 @@ def run_once(
         rep=rep,
         trace=trace,
         profiler=profiler,
-        latency=latency,
     )
     tracer.phase("compile", start, time.perf_counter() - t0, rep=rep)
     start = time.time()

@@ -86,7 +86,6 @@ def run_experiment(
     runner: "ParallelRunner | None" = None,
     journal: Journal | None = None,
     batch: bool = False,
-    dist: bool = False,
 ) -> SweepResult:
     """Execute a sweep specification and return the result grid.
 
@@ -117,21 +116,18 @@ def run_experiment(
         (:mod:`repro.engine.batch`) — bit-identical results, one
         vectorized advance per wave instead of one scalar simulation
         per cell.  Forces the runner path even at ``jobs=1``.
-    dist:
-        Record simulated latency distributions: each cell carries merged
-        per-stream quantile sketches, journaled as ``cell-dist`` events
-        (see :mod:`repro.obs.sketch`).  Metric values stay byte-identical;
-        forces the runner path even at ``jobs=1``.
+
+    Every repetition carries its simulated latency sketches on
+    ``RunResult.dist`` (see :mod:`repro.obs.sketch`); a journaled sweep
+    also records each cell's merged sketches as a ``cell-dist`` event.
     """
     journal = journal or NULL_JOURNAL
-    if runner is not None or jobs != 1 or journal.enabled or batch or dist:
+    if runner is not None or jobs != 1 or journal.enabled or batch:
         from repro.run.parallel import ParallelRunner
 
         runner = runner or ParallelRunner(jobs, journal=journal, batch=batch)
         if batch:
             runner.batch = True
-        if dist:
-            runner.dist = True
         if journal.enabled and not runner.journal.enabled:
             runner.journal = journal
         jl = runner.journal
@@ -222,7 +218,6 @@ def run_platform_sweep(
     cache: "SweepCache | None" = None,
     journal: Journal | None = None,
     batch: bool = False,
-    dist: bool = False,
 ) -> SweepResult:
     """Run the standard seven-platform figure sweep.
 
@@ -248,8 +243,7 @@ def run_platform_sweep(
     journal = journal or NULL_JOURNAL
     if cache is None:
         return run_experiment(
-            spec, jobs=jobs, runner=runner, journal=journal, batch=batch,
-            dist=dist,
+            spec, jobs=jobs, runner=runner, journal=journal, batch=batch
         )
 
     present = cache.contains(spec)
@@ -278,8 +272,7 @@ def run_platform_sweep(
         reporter.report_cached(tasks)
         return cached
     sweep = run_experiment(
-        spec, jobs=jobs, runner=runner, journal=journal, batch=batch,
-        dist=dist,
+        spec, jobs=jobs, runner=runner, journal=journal, batch=batch
     )
     cache.put(spec, sweep)
     return sweep

@@ -66,7 +66,7 @@ from repro.faults import NULL_INJECTOR, FaultInjector, FaultPlan, raise_worker_f
 from repro.hostmodel.topology import HostTopology
 from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.metrics import CELL_SECONDS_BUCKETS, MetricsRegistry
-from repro.obs.sketch import LatencyRecorder, merge_stream_sketches
+from repro.obs.sketch import merge_stream_sketches
 from repro.obs.trace_spans import NULL_TRACER
 from repro.platforms.base import PlatformKind
 from repro.platforms.provisioning import InstanceType
@@ -90,7 +90,6 @@ __all__ = [
     "cell_tasks",
     "default_jobs",
     "execute_cell",
-    "execute_cell_dist",
 ]
 
 ProgressFn = Callable[[int, int, object], None]
@@ -163,17 +162,6 @@ def execute_cell(task: CellTask) -> list[RunResult]:
     )
 
 
-def execute_cell_dist(task: CellTask) -> list[RunResult]:
-    """:func:`execute_cell` with latency recording: each repetition
-    carries its simulated latency sketches on ``RunResult.dist``.
-    Metric values are byte-identical to :func:`execute_cell`."""
-    platform = make_platform(task.kind, task.instance, task.mode)
-    return run_cell(
-        task.workload, platform, task.host, task.calib, list(task.streams),
-        dist=True,
-    )
-
-
 def _task_shape_key(task: CellTask) -> tuple:
     """Coarse pre-clustering key for batched execution.
 
@@ -196,31 +184,25 @@ def _group_label(tasks: Sequence[CellTask]) -> str:
     return f"batch[{len(tasks)}] {tasks[0].label}"
 
 
-def _execute_batch_group(
-    tasks: tuple[CellTask, ...], dist: bool = False
-) -> list[list[RunResult]]:
+def _execute_batch_group(tasks: tuple[CellTask, ...]) -> list[list[RunResult]]:
     """Worker entry point: run a group of cells through the batched engine.
 
     Prepares every repetition of every cell, advances all the prepared
     simulators together (:func:`repro.engine.batch.run_batched` batches
     the shape-compatible ones and runs the rest scalar), and packages
     per-cell run lists — bit-for-bit identical per cell to
-    :func:`execute_cell`.  Module-level (hence picklable).  With
-    ``dist=True`` each repetition carries latency sketches, identical to
-    the scalar recording path (the batched engine issues IO / comm /
-    barrier transitions through the same scalar methods that feed the
-    recorder).
+    :func:`execute_cell`, latency sketches included (the batched engine
+    issues IO / comm / barrier transitions through the same scalar
+    methods that feed the recorder).  Module-level (hence picklable).
     """
     preps = []
     for task in tasks:
         platform = make_platform(task.kind, task.instance, task.mode)
-        record = dist or bool(getattr(task.workload, "always_dist", False))
         for s in task.streams:
             preps.append(
                 prepare_run(
                     task.workload, platform, task.host, task.calib,
                     rng=s.make(), rep=s.rep,
-                    latency=LatencyRecorder() if record else None,
                 )
             )
     engine_results = run_batched([p.sim for p in preps])
@@ -233,13 +215,6 @@ def _execute_batch_group(
             k += 1
         out.append(runs)
     return out
-
-
-def _execute_batch_group_dist(
-    tasks: tuple[CellTask, ...],
-) -> list[list[RunResult]]:
-    """Picklable dist-recording twin of :func:`_execute_batch_group`."""
-    return _execute_batch_group(tasks, dist=True)
 
 
 @dataclass(frozen=True)
@@ -372,10 +347,14 @@ class ParallelRunner:
         Optional :class:`~repro.obs.journal.Journal`; when attached, the
         runner streams cell lifecycle events into it (and routes pool
         tasks through a worker shim that reports identity and timing).
+        Every executed cell also journals its merged latency sketches
+        as a ``cell-dist`` event, identical across the inline, pool,
+        and batched legs.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` accumulating
         campaign counters (cells completed, retries, cache hits,
-        simulator event totals).
+        simulator event totals) and the ``op`` / ``cell`` latency
+        summaries.
     mp_context:
         Optional :mod:`multiprocessing` context for the pool (useful to
         force ``spawn`` in tests).
@@ -399,14 +378,6 @@ class ParallelRunner:
         fault-armed tasks and tasks matching no batch run on the scalar
         path (the partition is checked — a cell that would be silently
         dropped raises :class:`~repro.errors.BatchPartitionError`).
-    dist:
-        Record per-cell simulated latency distributions: cell workers
-        run with a :class:`~repro.obs.sketch.LatencyRecorder`, merged
-        per-cell sketches are journaled as ``cell-dist`` events, and the
-        ``op`` stream feeds the metrics registry's summary metric.
-        Metric values — and therefore reports — are byte-identical with
-        recording on or off, and the sketches themselves are identical
-        across the inline, pool, and batched legs.
     tracer:
         Optional :class:`~repro.obs.trace_spans.SpanTracer`; when
         attached, every cell attempt becomes a span in the campaign
@@ -431,7 +402,6 @@ class ParallelRunner:
         faults: FaultInjector | None = None,
         checkpoint: "CellStore | None" = None,
         batch: bool = False,
-        dist: bool = False,
         tracer=None,
     ) -> None:
         if jobs < 1:
@@ -450,7 +420,6 @@ class ParallelRunner:
         self.faults = faults or NULL_INJECTOR
         self.checkpoint = checkpoint
         self.batch = bool(batch)
-        self.dist = bool(dist)
         self.tracer = tracer or NULL_TRACER
 
     # -- generic task execution ---------------------------------------------
@@ -469,12 +438,8 @@ class ParallelRunner:
         items = list(payloads)
         if not items:
             return []
-        if self.dist and worker is execute_cell:
-            # latency-recording twin: same cells, same results, plus
-            # per-repetition sketches on RunResult.dist
-            worker = execute_cell_dist
         store = self.checkpoint
-        batched = self.batch and worker in (execute_cell, execute_cell_dist)
+        batched = self.batch and worker is execute_cell
         if store is None:
             if self.journal.enabled:
                 for i, payload in enumerate(items):
@@ -625,10 +590,7 @@ class ParallelRunner:
         done = done_base
         for group_idx, group_out in zip(
             batches,
-            self._run_groups(
-                [tuple(items[i] for i in b) for b in batches],
-                dist=worker is execute_cell_dist,
-            ),
+            self._run_groups([tuple(items[i] for i in b) for b in batches]),
         ):
             cell_runs, wid, started, duration = group_out
             for runs, i in zip(cell_runs, group_idx):
@@ -668,19 +630,16 @@ class ParallelRunner:
                 results[i] = fresh[j]
         return results
 
-    def _fallback_group(
-        self, tasks: Sequence[CellTask], exc: Exception, *, dist: bool = False
-    ) -> list:
+    def _fallback_group(self, tasks: Sequence[CellTask], exc: Exception) -> list:
         """Scalar rescue of a batched group that failed as a unit."""
         if self.journal.enabled:
             self.journal.record(
                 "batch-fallback", label=_group_label(tasks), detail=repr(exc)
             )
-        cell_worker = execute_cell_dist if dist else execute_cell
-        return [cell_worker(t) for t in tasks]
+        return [execute_cell(t) for t in tasks]
 
     def _run_groups(
-        self, payloads: list[tuple[CellTask, ...]], *, dist: bool = False
+        self, payloads: list[tuple[CellTask, ...]]
     ) -> list[tuple[list, str, float, float]]:
         """Execute batched groups; per group ``(cell_runs, worker,
         started, duration)``.
@@ -694,7 +653,6 @@ class ParallelRunner:
         to per-cell scalar runs (journaled as ``batch-fallback``) so a
         genuine workload error reproduces its scalar diagnostic.
         """
-        group_worker = _execute_batch_group_dist if dist else _execute_batch_group
         out: list[tuple[list, str, float, float]] = []
         if self.jobs == 1:
             wid = _worker_id()
@@ -709,9 +667,9 @@ class ParallelRunner:
                 started = time.time()
                 t0 = time.perf_counter()
                 try:
-                    cell_runs = group_worker(group)
+                    cell_runs = _execute_batch_group(group)
                 except (BatchPartitionError, SimulationError) as exc:
-                    cell_runs = self._fallback_group(group, exc, dist=dist)
+                    cell_runs = self._fallback_group(group, exc)
                 out.append(
                     (cell_runs, wid, started, time.perf_counter() - t0)
                 )
@@ -725,7 +683,7 @@ class ParallelRunner:
         def submit(i: int) -> None:
             attempts[i] += 1
             index_future[i] = executor.submit(
-                _observed, group_worker, payloads[i]
+                _observed, _execute_batch_group, payloads[i]
             )
 
         try:
@@ -784,9 +742,7 @@ class ParallelRunner:
                         ) and not isinstance(cause, ParallelExecutionError):
                             started = time.time()
                             t0 = time.perf_counter()
-                            cell_runs = self._fallback_group(
-                                payloads[i], cause, dist=dist
-                            )
+                            cell_runs = self._fallback_group(payloads[i], cause)
                             slots[i] = (
                                 cell_runs, _worker_id(), started,
                                 time.perf_counter() - t0,
@@ -1065,7 +1021,13 @@ class ParallelRunner:
                     attempt=attempt,
                     extra=ledger,
                 )
-        dist = _cell_dist(result)
+        m = self.metrics
+        # the per-cell merge only feeds the journal and the metrics
+        dist = (
+            _cell_dist(result)
+            if self.journal.enabled or m is not None
+            else None
+        )
         if dist is not None and self.journal.enabled:
             first = result[0]
             self.journal.record(
@@ -1082,7 +1044,6 @@ class ParallelRunner:
                     },
                 },
             )
-        m = self.metrics
         if m is not None and dist is not None:
             for stream, metric, help_text in (
                 ("op", "repro_sim_op_response_seconds",

@@ -47,12 +47,12 @@ class RunResult:
         Perf counters of the run (not serialized to JSON).
     dist:
         Per-stream latency sketches (``{stream:
-        :class:`~repro.obs.sketch.QuantileSketch`}``) when the run was
-        executed with latency recording.  Unlike the counters they *are*
-        serialized (sketches are deterministic integer bucket counts),
-        so checkpointed/cached runs of latency-recording cells — the
-        open-loop load-curve cells in particular — replay with their
-        distributions intact.
+        :class:`~repro.obs.sketch.QuantileSketch`}``) recorded by every
+        simulated repetition (None only for runs rebuilt from a payload
+        without them).  Unlike the counters they *are* serialized
+        (sketches are deterministic integer bucket counts), so
+        checkpointed/cached runs — the open-loop load-curve cells in
+        particular — replay with their distributions intact.
     """
 
     workload: str
@@ -71,7 +71,7 @@ class RunResult:
     def to_dict(self) -> dict:
         """JSON-ready representation (drops the counters).
 
-        Latency sketches, when recorded, are serialized under ``dist``
+        Latency sketches, when present, are serialized under ``dist``
         (sorted stream names, canonical sketch dicts) — deterministic,
         so content-addressed checkpoint writes stay byte-identical.
         """

@@ -10,7 +10,7 @@ timelines.  :mod:`repro.viz.flamegraph` renders the folded stacks of
 :mod:`repro.viz.occupancy` renders the scheduler profiler's per-core
 occupancy map (``perf sched map`` analog) as an SVG heat strip.
 :mod:`repro.viz.dist` renders the tail-latency CDFs recorded by
-``--dist`` campaigns (quantile sketches from ``cell-dist`` journal
+journaled campaigns (quantile sketches from ``cell-dist`` journal
 events).  The ASCII renderers live in :mod:`repro.analysis.figures`.
 """
 

@@ -9,10 +9,9 @@ service time; when it saturates, the queue grows and the p99/p999 tail
 explodes — which is what the saturation-knee analysis
 (:mod:`repro.analysis.loadcurve`) measures.
 
-Both workloads set ``always_dist = True``: their whole point is the
-per-request latency distribution, so the run layer records their latency
-sketches unconditionally (``repro loadcurve`` needs no ``--dist`` flag,
-and checkpointed open-loop cells always carry their sketches).
+Their whole point is the per-request latency distribution, which the
+run layer records for every repetition (as it does for every workload):
+checkpointed open-loop cells always carry their sketches.
 
 The request programs are scaled-down versions of the closed-loop
 programs (same segment structure and IRQ story, shorter service times)
@@ -87,8 +86,6 @@ class OpenLoopWordPress(Workload):
     name = "WordPressOpen"
     version = "5.3.2"
     metric = "mean_response"
-    #: The run layer records latency sketches for this workload always.
-    always_dist = True
 
     def __post_init__(self) -> None:
         _validate_open_loop(self)
@@ -191,8 +188,6 @@ class OpenLoopCassandra(Workload):
     name = "CassandraOpen"
     version = "2.2"
     metric = "mean_response"
-    #: The run layer records latency sketches for this workload always.
-    always_dist = True
 
     def __post_init__(self) -> None:
         _validate_open_loop(self)

@@ -348,8 +348,7 @@ def _dist_payloads(journal):
 class TestOpenLoopEquivalence:
     """Open-loop cells are bit-identical across every engine leg.
 
-    The request-per-arrival workloads record latency sketches
-    unconditionally (``always_dist``), so ``_runs_json`` — which
+    Every cell records latency sketches, so ``_runs_json`` — which
     serializes ``RunResult.dist`` — covers the sketch payloads too; the
     journal check below additionally pins the ``cell-dist`` event bytes
     that ``repro obs dist`` consumes.
@@ -363,7 +362,7 @@ class TestOpenLoopEquivalence:
         scalar = ParallelRunner(1).run_tasks(execute_cell, tasks)
         assert all(
             "op" in rr.dist for runs in scalar for rr in runs
-        ), "open-loop cells must record latency sketches unconditionally"
+        ), "open-loop cells must record per-request latency sketches"
         batched = ParallelRunner(1, batch=True).run_tasks(execute_cell, tasks)
         assert _runs_json(batched) == _runs_json(scalar)
         pool = ParallelRunner(2).run_tasks(execute_cell, tasks)
@@ -399,7 +398,12 @@ class TestOpenLoopEquivalence:
         tasks = _mk_tasks(workloads, seed=23)
         scalar = ParallelRunner(1).run_tasks(execute_cell, tasks)
         batched = ParallelRunner(1, batch=True).run_tasks(execute_cell, tasks)
-        assert _runs_json(batched) == _runs_json(scalar)
-        # closed-loop cells keep their no-sketch default
-        assert scalar[0][0].dist is None or "op" not in (scalar[0][0].dist or {})
+        pool = ParallelRunner(2).run_tasks(execute_cell, tasks)
+        # closed-loop cells carry sketches too, so every leg's bytes
+        # cover them
+        assert all(
+            rr.dist["cell"].count == 1 for runs in scalar for rr in runs
+        )
         assert "op" in scalar[1][0].dist
+        assert _runs_json(batched) == _runs_json(scalar)
+        assert _runs_json(pool) == _runs_json(scalar)

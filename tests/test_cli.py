@@ -362,7 +362,7 @@ class TestCommands:
         assert "error" in capsys.readouterr().err
 
     def test_report_dist_and_obs_dist(self, capsys, tmp_path):
-        """--dist campaigns journal cell-dist events; 'obs dist' turns
+        """Journaled campaigns journal cell-dist events; 'obs dist' turns
         them into a percentile table, canonical JSON, and a CDF SVG."""
         import json
 
@@ -372,7 +372,7 @@ class TestCommands:
             main(
                 [
                     "report", "--only", "fig7", "--reps-fast", "1",
-                    "--out", str(out), "--journal", str(journal), "--dist",
+                    "--out", str(out), "--journal", str(journal),
                 ]
             )
             == 0
@@ -403,20 +403,27 @@ class TestCommands:
         assert svg.read_text().startswith("<svg")
 
     def test_obs_dist_without_recording_errors(self, capsys, tmp_path):
+        """A journal whose every cell was replayed from the sweep cache
+        holds no cell-dist events, and 'obs dist' says why."""
         journal = tmp_path / "campaign.jsonl"
-        out = tmp_path / "report.md"
-        assert (
-            main(
-                [
-                    "report", "--only", "fig7", "--reps-fast", "1",
-                    "--out", str(out), "--journal", str(journal),
-                ]
-            )
-            == 0
-        )
+        argv = [
+            "report", "--only", "fig3", "--reps-fast", "1",
+            "--cache", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "report.md"),
+        ]
+        assert main(argv) == 0
+        assert main(argv + ["--journal", str(journal)]) == 0
         capsys.readouterr()
         assert main(["obs", "dist", str(journal)]) == 1
-        assert "--dist" in capsys.readouterr().err
+        assert "no executed cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["dist", "no-dist"])
+    def test_report_dist_flag_rejected(self, capsys, tmp_path, flag):
+        """Latency recording is always on; the old switch is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--out", str(tmp_path / "r.md"), f"--{flag}"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
     def test_sensitivity_command(self, capsys):
         assert (

@@ -267,6 +267,23 @@ class TestFabricEquivalence:
         with pytest.raises(ConfigurationError, match="skew"):
             merge_queue(tmp_path / "q")
 
+    def test_legacy_dist_manifest_key_ignored(self, golden_report, tmp_path):
+        """A queue committed with the retired ``dist`` manifest key
+        resumes and merges as usual; every cell journals its sketches."""
+        queue = init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=60.0)
+        manifest = json.loads(queue.manifest_path.read_text())
+        assert "dist" not in manifest
+        manifest["dist"] = False
+        queue.manifest_path.write_text(json.dumps(manifest))
+        init_queue(tmp_path / "q", _camp(), shards=2, exist_ok=True)
+        run_worker(tmp_path / "q", "w1", wait=False)
+        jpath = tmp_path / "merged.jsonl"
+        result, info = merge_queue(tmp_path / "q", journal_out=jpath)
+        assert generate_report(result) == golden_report
+        kinds = [e.kind for e in read_journal(jpath, strict=True)]
+        assert kinds.count("cell-dist") == kinds.count("cell-finished")
+        assert kinds.count("cell-dist") == info.cells
+
     def test_merged_journal_and_metrics_outputs(self, tmp_path):
         init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=60.0)
         run_worker(tmp_path / "q", "w1", wait=False)

@@ -311,6 +311,31 @@ class TestCellStore:
         # replayed runs never carry perf counters
         assert all(r.counters is None for r in got)
 
+    def test_resumed_runs_keep_dist_byte_identical(self, tmp_path):
+        import json
+
+        from repro.run.parallel import CachedCell, ParallelRunner, execute_cell
+        from repro.run.persistence import CellStore
+        from repro.run.results import RunResult
+
+        def canon(runs):
+            return json.dumps([r.to_dict() for r in runs])
+
+        store = CellStore(tmp_path / "cells")
+        tasks = [_cell_task()]
+        [fresh] = ParallelRunner(1, checkpoint=store).run_tasks(
+            execute_cell, tasks
+        )
+        seen = []
+        [replayed] = ParallelRunner(
+            1, checkpoint=store, progress=lambda d, t, p: seen.append(p)
+        ).run_tasks(execute_cell, tasks)
+        assert seen == [CachedCell(tasks[0], resumed=True)]
+        assert all(r.dist["cell"].count == 1 for r in replayed)
+        assert canon(replayed) == canon(fresh)
+        round_trip = [RunResult.from_dict(r.to_dict()) for r in replayed]
+        assert canon(round_trip) == canon(replayed)
+
     def test_undecodable_entry_is_corrupt(self, tmp_path):
         from repro.run.persistence import CellStore
 
