@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.analysis.chr import ChrRange, estimate_suitable_chr_range
 from repro.analysis.overhead import (
@@ -114,12 +113,14 @@ class CrossApplicationAnalysis:
         Applications are ordered by IO intensity; the magnitudes should
         rise with it (Spearman rho close to 1).
         """
+        from scipy import stats as scipy_stats
+
         apps = sorted(self.sweeps, key=lambda a: self.io_intensity[a])
         if len(apps) < 2:
             raise AnalysisError("correlation needs at least two applications")
         ios = [self.io_intensity[a] for a in apps]
         psos = [self.pso_magnitude(a, platform_label) for a in apps]
-        rho, _ = _scipy_stats.spearmanr(ios, psos)
+        rho, _ = scipy_stats.spearmanr(ios, psos)
         return PsoCorrelation(
             io_intensities=tuple(ios),
             pso_magnitudes=tuple(psos),

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
+from repro.analysis.adaptive import AdaptiveRepsPolicy
 from repro.analysis.chr import ChrRange, chr_of, estimate_suitable_chr_range
 from repro.analysis.figures import figure_from_sweep, render_figure
 from repro.analysis.overhead import (
@@ -15,7 +17,13 @@ from repro.analysis.overhead import (
     overhead_ratio,
     overhead_ratios,
 )
-from repro.analysis.stats import bootstrap_ci, confidence_interval, summarize
+from repro.analysis.stats import (
+    _T95,
+    _t_critical,
+    bootstrap_ci,
+    confidence_interval,
+    summarize,
+)
 from repro.analysis.tables import render_table1, render_table2, render_table3
 from repro.errors import AnalysisError
 from repro.hostmodel.topology import r830_host
@@ -103,6 +111,62 @@ class TestStats:
         lo, hi = confidence_interval(data)
         m = float(np.mean(data))
         assert lo <= m <= hi
+
+
+def _scipy_ci(samples, confidence):
+    """The Student-t interval computed straight from scipy."""
+    arr = np.asarray(samples, dtype=float)
+    mean = float(arr.mean())
+    sem = float(arr.std(ddof=1)) / np.sqrt(arr.size)
+    t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
+    return (mean - t * sem, mean + t * sem)
+
+
+class TestTQuantile:
+    """The pinned 95% table and the scipy fallback are bit-identical to
+    the scipy expression they replace."""
+
+    @pytest.mark.parametrize("df", range(1, 101))
+    def test_table_entry_matches_scipy(self, df):
+        expected = float(scipy_stats.t.ppf(0.5 + 0.95 / 2.0, df=df))
+        assert _T95[df - 1] == expected
+        assert _t_critical(0.95, df) == expected
+
+    def test_table_covers_df_1_to_100(self):
+        assert len(_T95) == 100
+
+    @pytest.mark.parametrize("n", [2, 4, 20, 101])
+    def test_table_ci_matches_scipy(self, n):
+        data = np.random.default_rng(n).normal(10.0, 2.0, size=n)
+        assert confidence_interval(data) == _scipy_ci(data, 0.95)
+
+    @pytest.mark.parametrize(
+        ("n", "confidence"), [(102, 0.95), (5, 0.90), (5, 0.99), (102, 0.99)]
+    )
+    def test_fallback_ci_matches_scipy(self, n, confidence):
+        data = np.random.default_rng(n).normal(10.0, 2.0, size=n)
+        assert confidence_interval(data, confidence) == _scipy_ci(
+            data, confidence
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [[10.0, 10.4, 9.7], [10.0, 10.1, 9.9, 10.05], [1.0, 1.3, 0.8, 1.1, 0.9]],
+    )
+    def test_adaptive_policy_at_99_matches_scipy(self, values):
+        policy = AdaptiveRepsPolicy(confidence=0.99, target_rel_ci=0.05)
+        lo, hi = _scipy_ci(values, 0.99)
+        rel = (hi - lo) / 2.0 / abs(float(np.mean(values)))
+        assert policy.needs_more(values) == (rel > 0.05)
+
+    def test_adaptive_policy_level_changes_verdict(self):
+        """A sample set whose 95% CI meets a 5% target but whose 99% CI
+        does not: the fallback is really consulted."""
+        values = [10.0, 10.15, 9.85]
+        assert not AdaptiveRepsPolicy(target_rel_ci=0.05).needs_more(values)
+        assert AdaptiveRepsPolicy(
+            confidence=0.99, target_rel_ci=0.05
+        ).needs_more(values)
 
 
 class TestOverheadRatios:

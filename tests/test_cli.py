@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -441,6 +445,33 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "vm_mem_penalty" in out
+
+
+_NO_SCIPY_SNIPPET = """
+import sys
+import repro, repro.cli
+code = repro.cli.main(
+    ["report", "--only", "fig3", "--reps-fast", "3", "--out", sys.argv[1]]
+)
+assert code == 0, code
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestColdStart:
+    def test_report_never_imports_scipy(self, tmp_path):
+        """A default report run stays off scipy: the 95% t quantiles it
+        needs come from the pinned table in repro.analysis.stats."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SNIPPET, str(tmp_path / "r.md")],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "r.md").read_text()
 
 
 class TestFaultsCli:
