@@ -10,11 +10,11 @@ attribute read — through :class:`~repro.run.parallel.ParallelRunner`,
 :class:`~repro.obs.journal.JsonlJournal`, which makes every built-in
 site exercisable without monkeypatching.
 
-Worker-side sites never touch the injector object: the pool wrapper
+Worker-side sites never touch the injector object: the pool entry point
 ships the immutable plan into the worker and evaluates
 :meth:`FaultPlan.worker_fault` there (see
-:func:`repro.run.parallel._faulted`).  :func:`raise_worker_fault` is the
-shared interpretation of a matched worker spec.
+:func:`repro.run.parallel._pool_task`).  :func:`raise_worker_fault` is
+the shared interpretation of a matched worker spec.
 """
 
 from __future__ import annotations

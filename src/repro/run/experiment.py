@@ -3,7 +3,8 @@
 The paper's protocol (Section III): run each configuration in isolation,
 repeat 6-20 times, report mean and 95 % confidence interval.
 :func:`run_experiment` executes an :class:`ExperimentSpec` cell by cell
-with independent deterministic random streams per repetition;
+(through :class:`~repro.run.parallel.ParallelRunner`, inline or on a
+pool) with independent deterministic random streams per repetition;
 :func:`run_platform_sweep` is the one-call version for the standard
 seven-platform figure layout.
 """
@@ -17,13 +18,12 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.hostmodel.topology import HostTopology, r830_host
 from repro.obs.journal import NULL_JOURNAL, Journal
-from repro.platforms.base import ExecutionPlatform, PlatformKind
+from repro.platforms.base import PlatformKind
 from repro.platforms.provisioning import InstanceType
-from repro.platforms.registry import make_platform, paper_platform_set
-from repro.rng import DEFAULT_SEED, RngFactory
+from repro.platforms.registry import paper_platform_set
+from repro.rng import DEFAULT_SEED
 from repro.run.calibration import Calibration
-from repro.run.execution import run_cell
-from repro.run.results import ExperimentResult, RunResult, SweepResult
+from repro.run.results import SweepResult
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads.base import Workload
 
@@ -94,84 +94,54 @@ def run_experiment(
     platforms, so platform comparisons at a given rep see identical
     workload realizations (paired design, tighter overhead ratios).
 
+    Every sweep runs through :meth:`ParallelRunner.run_experiment
+    <repro.run.parallel.ParallelRunner.run_experiment>`; a serial sweep
+    is a one-job runner, which runs every cell inline in this process.
+
     Parameters
     ----------
     jobs:
         Worker process count.  ``1`` (the default) runs serially in this
         process; larger values fan the independent cells out over a
-        :class:`~repro.run.parallel.ParallelRunner` with bit-for-bit
-        identical results (each repetition's stream is derived from the
-        spec's seed, not from pool scheduling).
+        process pool with bit-for-bit identical results (each
+        repetition's stream is derived from the spec's seed, not from
+        pool scheduling).
     runner:
         A pre-configured :class:`~repro.run.parallel.ParallelRunner`
         (overrides ``jobs``; use for custom timeout/retry/progress).
     journal:
-        Optional run journal recording the sweep's lifecycle events.  A
-        journal-carrying serial run is routed through the runner's
-        inline path — the exact serial execution, plus telemetry;
-        results are identical either way.  With no journal (the
-        default) the serial path is left completely untouched.
+        Optional run journal recording the sweep's lifecycle events;
+        results are identical with or without it.
     batch:
         Route shape-compatible cells through the batched engine
         (:mod:`repro.engine.batch`) — bit-identical results, one
         vectorized advance per wave instead of one scalar simulation
-        per cell.  Forces the runner path even at ``jobs=1``.
+        per cell.
 
     Every repetition carries its simulated latency sketches on
     ``RunResult.dist`` (see :mod:`repro.obs.sketch`); a journaled sweep
     also records each cell's merged sketches as a ``cell-dist`` event.
     """
+    from repro.run.parallel import ParallelRunner
+
     journal = journal or NULL_JOURNAL
-    if runner is not None or jobs != 1 or journal.enabled or batch:
-        from repro.run.parallel import ParallelRunner
-
-        runner = runner or ParallelRunner(jobs, journal=journal, batch=batch)
-        if batch:
-            runner.batch = True
-        if journal.enabled and not runner.journal.enabled:
-            runner.journal = journal
-        jl = runner.journal
-        if jl.enabled:
-            jl.record("sweep-started", label=spec.workload.name)
-        t0 = time.perf_counter()
-        sweep = runner.run_experiment(spec)
-        if jl.enabled:
-            jl.record(
-                "sweep-finished",
-                label=spec.workload.name,
-                duration=time.perf_counter() - t0,
-            )
-        return sweep
-
-    factory = RngFactory(seed=spec.seed)
-    cells: dict[tuple[str, str], ExperimentResult] = {}
-    platform_order: list[str] = []
-
-    for instance in spec.instances:
-        platforms: list[ExecutionPlatform] = [
-            make_platform(kind, instance, mode)
-            for kind, mode in spec.platform_grid
-        ]
-        if not platform_order:
-            platform_order = [p.label() for p in platforms]
-        for platform in platforms:
-            streams = [
-                factory.stream_spec(
-                    f"{spec.workload.name}/{instance.name}", rep=rep
-                )
-                for rep in range(spec.reps)
-            ]
-            runs: list[RunResult] = run_cell(
-                spec.workload, platform, spec.host, spec.calib, streams
-            )
-            cells[(platform.label(), instance.name)] = ExperimentResult(runs)
-
-    return SweepResult(
-        workload=spec.workload.name,
-        cells=cells,
-        instance_order=[i.name for i in spec.instances],
-        platform_order=platform_order,
-    )
+    runner = runner or ParallelRunner(jobs, journal=journal, batch=batch)
+    if batch:
+        runner.batch = True
+    if journal.enabled and not runner.journal.enabled:
+        runner.journal = journal
+    jl = runner.journal
+    if jl.enabled:
+        jl.record("sweep-started", label=spec.workload.name)
+    t0 = time.perf_counter()
+    sweep = runner.run_experiment(spec)
+    if jl.enabled:
+        jl.record(
+            "sweep-finished",
+            label=spec.workload.name,
+            duration=time.perf_counter() - t0,
+        )
+    return sweep
 
 
 def platform_sweep_spec(

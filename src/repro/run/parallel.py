@@ -14,6 +14,13 @@ results **bit-for-bit identical** to the serial path:
   :class:`~repro.run.results.SweepResult` cell order matches the serial
   iteration exactly.
 
+Every run goes through one cell-execution loop over *units*: a unit is
+one payload, or one batched group of shape-compatible cell tasks.  The
+loop has two executors — inline (``jobs == 1``: run the unit in this
+process) and pool (submit every unit, collect in submission order) —
+and both feed one failure handler and one completion sink, so the
+serial, pool, batched, resumed and fabric legs cannot drift apart.
+
 Failure handling: a task whose worker raises is resubmitted up to
 ``retries`` extra times; a broken pool (worker process killed) is
 rebuilt and the outstanding tasks resubmitted; a task exceeding the
@@ -28,7 +35,7 @@ Telemetry: attach a :class:`~repro.obs.journal.Journal` to stream
 structured lifecycle events (cell queued / started / cache-hit / retried
 / failed / finished, worker identity, durations, pool rebuilds) and a
 :class:`~repro.obs.metrics.MetricsRegistry` to accumulate campaign
-counters.  Both default to off, leaving the execution path untouched.
+counters.  Both default to off; results never depend on them.
 
 Fault injection and resume: attach a
 :class:`~repro.faults.FaultInjector` to fire a deterministic
@@ -40,8 +47,7 @@ checkpoint to make campaigns crash-safe: every completed cell task is
 persisted atomically as it finishes, probed (with fingerprint
 verification) before submission, and replayed instead of re-run —
 delivered to progress/journal as tagged :class:`CachedCell` payloads
-with ``resumed=True``.  Both default to off, leaving the execution path
-untouched.
+with ``resumed=True``.  Both default to off.
 """
 
 from __future__ import annotations
@@ -62,7 +68,13 @@ from repro.errors import (
     ParallelExecutionError,
     SimulationError,
 )
-from repro.faults import NULL_INJECTOR, FaultInjector, FaultPlan, raise_worker_fault
+from repro.faults import (
+    NULL_INJECTOR,
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    raise_worker_fault,
+)
 from repro.hostmodel.topology import HostTopology
 from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.obs.metrics import CELL_SECONDS_BUCKETS, MetricsRegistry
@@ -245,33 +257,48 @@ class _ObservedFailure(Exception):
         return str(self.cause)
 
 
-def _observed(worker: Callable, payload) -> _Observed:
-    """Run ``worker(payload)`` recording worker identity and timing.
+#: Failures that abort the campaign at once: misconfiguration never
+#: heals on retry, and a simulated process death must abort like the
+#: real thing.
+_FATAL = (ConfigurationError, InjectedCrash)
 
-    Used in place of the bare worker when a journal is attached;
-    :class:`~repro.errors.ConfigurationError` passes through unwrapped
-    so the runner's no-retry rule still sees it.
+
+def _observed(
+    worker: Callable,
+    payload,
+    fault: FaultSpec | None = None,
+    label: str = "",
+    in_pool: bool = True,
+) -> _Observed:
+    """Run one attempt of ``worker(payload)``, recording worker identity
+    and timing.
+
+    A matched worker-site ``fault`` fires first (see
+    :func:`~repro.faults.raise_worker_fault`).  :data:`_FATAL` errors
+    pass through unwrapped; any other failure is wrapped in
+    :class:`_ObservedFailure` so the parent learns which worker failed.
     """
     started = time.time()
     t0 = time.perf_counter()
     try:
+        if fault is not None:
+            raise_worker_fault(fault, label, in_pool=in_pool)
         result = worker(payload)
-    except ConfigurationError:
+    except _FATAL:
         raise
     except Exception as exc:
         raise _ObservedFailure(_worker_id(), exc) from exc
     return _Observed(result, _worker_id(), started, time.perf_counter() - t0)
 
 
-def _faulted(
-    plan: FaultPlan,
+def _pool_task(
+    plan: FaultPlan | None,
     worker: Callable,
     payload,
     label: str,
     attempt: int,
-    observe: bool,
-):
-    """Pool worker shim evaluating the fault plan before the task.
+) -> _Observed:
+    """Pool entry point: evaluate the fault plan, then run the attempt.
 
     Module-level (hence picklable); the immutable plan travels with the
     submission, so whichever worker process picks the task up reaches the
@@ -280,10 +307,37 @@ def _faulted(
     ``task.timeout`` sleeps past the runner's collection timeout, and
     ``task.error`` raises a retryable transient fault.
     """
-    spec = plan.worker_fault(label, attempt)
-    if spec is not None:
-        raise_worker_fault(spec, label, in_pool=True)
-    return _observed(worker, payload) if observe else worker(payload)
+    fault = plan.worker_fault(label, attempt) if plan is not None else None
+    return _observed(worker, payload, fault, label)
+
+
+@dataclass(frozen=True)
+class _Unit:
+    """One submission of the cell-execution loop.
+
+    A scalar unit runs ``fn(payload)`` for one payload; a ``group`` unit
+    runs :func:`_execute_batch_group` over a tuple of shape-compatible
+    :class:`CellTask` payloads and returns one run list per cell.
+    ``slots`` are the unit's positions in the payload list of
+    :meth:`ParallelRunner.run_tasks` and ``labels`` their cell labels.
+    """
+
+    fn: Callable
+    payload: object
+    label: str
+    slots: tuple[int, ...]
+    labels: tuple[str, ...]
+    group: bool = False
+
+
+@dataclass
+class _TaskSet:
+    """State of one :meth:`ParallelRunner.run_tasks` call."""
+
+    items: list
+    keys: list[str | None]
+    results: list
+    done: int = 0
 
 
 def cell_tasks(spec: ExperimentSpec) -> tuple[list[CellTask], list[str]]:
@@ -345,11 +399,10 @@ class ParallelRunner:
         completed task, in completion-collection order.
     journal:
         Optional :class:`~repro.obs.journal.Journal`; when attached, the
-        runner streams cell lifecycle events into it (and routes pool
-        tasks through a worker shim that reports identity and timing).
-        Every executed cell also journals its merged latency sketches
-        as a ``cell-dist`` event, identical across the inline, pool,
-        and batched legs.
+        runner streams cell lifecycle events into it, with the worker
+        identity and timing every attempt reports.  Every executed cell
+        also journals its merged latency sketches as a ``cell-dist``
+        event, identical across the inline, pool, and batched legs.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` accumulating
         campaign counters (cells completed, retries, cache hits,
@@ -383,8 +436,8 @@ class ParallelRunner:
         attached, every cell attempt becomes a span in the campaign
         trace — the inline leg opens a frame around the attempt (so
         engine compile/advance phases and checkpoint writes nest under
-        it), the pool leg emits leaf spans from the worker shim's
-        observed timing, and batched groups emit one leaf per cell.
+        it), the pool leg emits leaf spans from the timing the worker
+        observed, and batched groups emit one leaf per cell.
         Defaults to the no-op tracer (one ``enabled`` check per cell);
         spans never feed back into results.
     """
@@ -436,32 +489,18 @@ class ParallelRunner:
         and every freshly-executed task is checkpointed as it completes.
         """
         items = list(payloads)
-        if not items:
-            return []
         store = self.checkpoint
-        batched = self.batch and worker is execute_cell
-        if store is None:
-            if self.journal.enabled:
-                for i, payload in enumerate(items):
-                    self.journal.record("cell-queued", label=_label(payload, i))
-            if batched:
-                return self._run_batched(worker, items)
-            if self.jobs == 1:
-                return self._run_inline(worker, items)
-            return self._run_pool(worker, items)
-
-        total = len(items)
-        keys: list[str | None] = [store.key_for(p) for p in items]
-        results: list = [None] * total
-        replayed = [False] * total
+        keys = [None if store is None else store.key_for(p) for p in items]
+        tasks = _TaskSet(items, keys, [None] * len(items))
         pending: list[int] = []
+        resumed: list[int] = []
         for i, payload in enumerate(items):
             label = _label(payload, i)
             if keys[i] is not None:
                 runs, state = store.load(keys[i])
                 if state == "hit":
-                    results[i] = runs
-                    replayed[i] = True
+                    tasks.results[i] = runs
+                    resumed.append(i)
                     if self.journal.enabled:
                         self.journal.record(
                             "cell-resumed", label=label, cached=True,
@@ -487,76 +526,43 @@ class ParallelRunner:
             if self.journal.enabled:
                 self.journal.record("cell-queued", label=label)
 
-        done = 0
-        for i in range(total):
-            if replayed[i]:
-                done += 1
-                self._report(done, total, CachedCell(items[i], resumed=True))
-        if not pending:
-            return results
-
-        def on_result(j: int, payload, result) -> None:
-            key = keys[pending[j]]
-            if key is not None and isinstance(result, list):
-                tracer = self.tracer
-                if tracer.enabled:
-                    put_start = time.time()
-                    t0 = time.perf_counter()
-                    store.put(key, result, label=_label(payload, pending[j]))
-                    tracer.phase(
-                        "checkpoint", put_start, time.perf_counter() - t0
-                    )
-                else:
-                    store.put(key, result, label=_label(payload, pending[j]))
-
-        pending_items = [items[i] for i in pending]
-        if batched:
-            fresh = self._run_batched(
-                worker, pending_items,
-                total=total, done_base=done, on_result=on_result,
+        for i in resumed:
+            tasks.done += 1
+            self._report(
+                tasks.done, len(items), CachedCell(items[i], resumed=True)
             )
-        elif self.jobs == 1:
-            fresh = self._run_inline(
-                worker, pending_items,
-                total=total, done_base=done, on_result=on_result,
-            )
-        else:
-            fresh = self._run_pool(
-                worker, pending_items,
-                total=total, done_base=done, on_result=on_result,
-            )
-        for j, i in enumerate(pending):
-            results[i] = fresh[j]
-        return results
+        if pending:
+            for units in self._units(worker, items, pending):
+                self._execute(units, tasks)
+        return tasks.results
 
-    def _run_batched(
-        self,
-        worker: Callable,
-        items: Sequence,
-        *,
-        total: int | None = None,
-        done_base: int = 0,
-        on_result: Callable | None = None,
-    ) -> list:
-        """Batched twin of ``_run_inline`` / ``_run_pool`` for cell tasks.
+    def _units(
+        self, worker: Callable, items: list, pending: list[int]
+    ) -> list[list[_Unit]]:
+        """Split the pending payloads into execution units, in run order.
 
-        Clusters shape-compatible :class:`CellTask` payloads into groups
-        advanced by the batched engine; everything else — non-cell
-        payloads, fault-armed tasks (pre-screened against the plan so
-        injection still fires on the scalar path, exactly once), and
-        tasks matching no group — runs on the ordinary scalar leg.
-        Groups run first so their cells checkpoint before a fault-armed
-        scalar task can abort the campaign; per-cell results, journal
-        events, and progress reports are emitted exactly as for scalar
-        cells.
+        Every payload is one scalar unit unless :attr:`batch` is set and
+        ``worker`` is :func:`execute_cell`.  Then shape-compatible
+        :class:`CellTask` payloads are clustered into groups advanced by
+        the batched engine; everything else — non-cell payloads,
+        fault-armed tasks (pre-screened against the plan so injection
+        still fires on the scalar path, exactly once), and tasks matching
+        no group — stays scalar.  The groups form a list of their own
+        that runs first, so their cells checkpoint before a fault-armed
+        scalar task can abort the campaign.
         """
-        n = len(items)
-        total = n if total is None else total
-        results: list = [None] * n
+
+        def scalar(i: int) -> _Unit:
+            label = _label(items[i], i)
+            return _Unit(worker, items[i], label, (i,), (label,))
+
+        if not (self.batch and worker is execute_cell):
+            return [[scalar(i) for i in pending]]
         plan = self.faults.plan if self.faults.enabled else None
         groups: dict[tuple, list[int]] = {}
         scalar_idx: list[int] = []
-        for i, task in enumerate(items):
+        for i in pending:
+            task = items[i]
             if not isinstance(task, CellTask) or (
                 plan is not None
                 and plan.worker_fault(_label(task, i), 1) is not None
@@ -572,366 +578,118 @@ class ParallelRunner:
                 scalar_idx.extend(idxs)
         scalar_idx.sort()
         covered = sorted(i for b in batches for i in b) + scalar_idx
-        if sorted(covered) != list(range(n)):
+        if sorted(covered) != pending:
             raise BatchPartitionError(
-                f"batch partition covered {len(covered)} slot(s) of {n} "
-                "cell task(s); refusing to drop cells silently"
+                f"batch partition covered {len(covered)} slot(s) of "
+                f"{len(pending)} cell task(s); refusing to drop cells silently"
             )
         if self.journal.enabled:
             self.journal.record(
                 "batch-partition",
-                label=f"{n} task(s)",
+                label=f"{len(pending)} task(s)",
                 detail=(
                     f"{len(batches)} batch(es) covering "
-                    f"{n - len(scalar_idx)} cell(s), "
+                    f"{len(pending) - len(scalar_idx)} cell(s), "
                     f"{len(scalar_idx)} scalar cell(s)"
                 ),
             )
-        done = done_base
-        for group_idx, group_out in zip(
-            batches,
-            self._run_groups([tuple(items[i] for i in b) for b in batches]),
-        ):
-            cell_runs, wid, started, duration = group_out
-            for runs, i in zip(cell_runs, group_idx):
-                results[i] = runs
-                if on_result is not None:
-                    on_result(i, items[i], runs)
-                if self.tracer.enabled:
-                    self.tracer.emit_leaf(
-                        "cell", _label(items[i], i), start=started,
-                        duration=duration, worker=wid, attempt=1,
-                        batched=True,
-                    )
-                self._observe_completion(
-                    _label(items[i], i), runs, worker=wid, attempt=1,
-                    started=started, duration=duration,
-                )
-                done += 1
-                self._report(done, total, items[i])
-        if scalar_idx:
-            sub = [items[i] for i in scalar_idx]
-            remap = (
-                None
-                if on_result is None
-                else lambda j, payload, result: on_result(
-                    scalar_idx[j], payload, result
-                )
-            )
-            if self.jobs == 1:
-                fresh = self._run_inline(
-                    worker, sub, total=total, done_base=done, on_result=remap,
-                )
-            else:
-                fresh = self._run_pool(
-                    worker, sub, total=total, done_base=done, on_result=remap,
-                )
-            for j, i in enumerate(scalar_idx):
-                results[i] = fresh[j]
-        return results
+        group_units = []
+        for idxs in batches:
+            group = tuple(items[i] for i in idxs)
+            group_units.append(_Unit(
+                _execute_batch_group, group, _group_label(group), tuple(idxs),
+                tuple(_label(t, i) for t, i in zip(group, idxs)), group=True,
+            ))
+        return [group_units, [scalar(i) for i in scalar_idx]]
 
-    def _fallback_group(self, tasks: Sequence[CellTask], exc: Exception) -> list:
-        """Scalar rescue of a batched group that failed as a unit."""
-        if self.journal.enabled:
-            self.journal.record(
-                "batch-fallback", label=_group_label(tasks), detail=repr(exc)
-            )
-        return [execute_cell(t) for t in tasks]
+    def _execute(self, units: list[_Unit], tasks: _TaskSet) -> None:
+        """The cell-execution loop: run ``units`` to completion, in order.
 
-    def _run_groups(
-        self, payloads: list[tuple[CellTask, ...]]
-    ) -> list[tuple[list, str, float, float]]:
-        """Execute batched groups; per group ``(cell_runs, worker,
-        started, duration)``.
+        With ``jobs == 1`` the inline executor runs each attempt in this
+        process when the loop reaches the unit; otherwise every unit is
+        submitted to a process pool up front and the results are
+        collected in submission order.  Both executors share one failure
+        handler and one completion sink (:meth:`_complete`):
 
-        With ``jobs == 1`` groups run inline (journaling ``cell-started``
-        per cell, like the inline scalar leg); otherwise each group is
-        one pool submission, collected with the same timeout /
-        broken-pool / retry discipline as scalar pool tasks.  A group
-        whose batched execution fails with a
-        :class:`~repro.errors.SimulationError` falls back *explicitly*
-        to per-cell scalar runs (journaled as ``batch-fallback``) so a
-        genuine workload error reproduces its scalar diagnostic.
+        * a failed attempt is retried until ``retries`` is exhausted,
+          then raises :class:`~repro.errors.ParallelExecutionError`
+          carrying one :class:`~repro.errors.AttemptFailure` per attempt;
+        * a batched group failing with a
+          :class:`~repro.errors.SimulationError` falls back *explicitly*
+          to per-cell scalar runs (journaled as ``batch-fallback``) so a
+          genuine workload error reproduces its scalar diagnostic;
+        * a broken pool — whether it breaks at ``submit`` or at
+          ``result`` — counts as a failed attempt of the unit being
+          collected; the pool is rebuilt and every uncollected unit
+          resubmitted;
+        * a unit exceeding :attr:`timeout` raises at once;
+        * :data:`_FATAL` errors abort at once.
         """
-        out: list[tuple[list, str, float, float]] = []
-        if self.jobs == 1:
-            wid = _worker_id()
-            for group in payloads:
-                if self.journal.enabled:
-                    started_ts = time.time()
-                    for task in group:
-                        self.journal.record(
-                            "cell-started", label=task.label, worker=wid,
-                            attempt=1, ts=started_ts,
-                        )
-                started = time.time()
-                t0 = time.perf_counter()
-                try:
-                    cell_runs = _execute_batch_group(group)
-                except (BatchPartitionError, SimulationError) as exc:
-                    cell_runs = self._fallback_group(group, exc)
-                out.append(
-                    (cell_runs, wid, started, time.perf_counter() - t0)
-                )
-            return out
-        n = len(payloads)
-        slots: list[tuple[list, str, float, float] | None] = [None] * n
-        attempts = [0] * n
-        executor = self._new_executor()
-        index_future: dict[int, Future] = {}
-
-        def submit(i: int) -> None:
-            attempts[i] += 1
-            index_future[i] = executor.submit(
-                _observed, _execute_batch_group, payloads[i]
-            )
-
-        try:
-            for i in range(n):
-                submit(i)
-            for i in range(n):
-                label = _group_label(payloads[i])
-                while slots[i] is None:
-                    try:
-                        value = index_future[i].result(timeout=self.timeout)
-                        slots[i] = (
-                            value.result, value.worker,
-                            value.started, value.duration,
-                        )
-                    except FutureTimeoutError:
-                        self._record_failure(
-                            label, "", attempts[i],
-                            f"timeout after {self.timeout}s", final=True,
-                        )
-                        raise ParallelExecutionError(
-                            label, attempts[i], "timeout",
-                            f"exceeded {self.timeout}s",
-                        ) from None
-                    except BrokenExecutor as exc:
-                        if attempts[i] > self.retries:
-                            self._record_failure(
-                                label, "", attempts[i], repr(exc), final=True,
-                            )
-                            raise ParallelExecutionError(
-                                label, attempts[i], "broken-pool", str(exc),
-                            ) from exc
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = self._new_executor()
-                        if self.journal.enabled:
-                            self.journal.record(
-                                "pool-rebuilt", label=label, detail=repr(exc)
-                            )
-                        if self.metrics is not None:
-                            self.metrics.counter(
-                                "repro_pool_rebuilds_total",
-                                "worker-pool rebuilds after breakage",
-                            ).inc()
-                        for j in range(n):
-                            if slots[j] is None:
-                                submit(j)
-                    except (ConfigurationError, InjectedCrash):
-                        raise
-                    except Exception as exc:
-                        cause, wid = (
-                            (exc.cause, exc.worker)
-                            if isinstance(exc, _ObservedFailure)
-                            else (exc, "")
-                        )
-                        if isinstance(
-                            cause, (BatchPartitionError, SimulationError)
-                        ) and not isinstance(cause, ParallelExecutionError):
-                            started = time.time()
-                            t0 = time.perf_counter()
-                            cell_runs = self._fallback_group(payloads[i], cause)
-                            slots[i] = (
-                                cell_runs, _worker_id(), started,
-                                time.perf_counter() - t0,
-                            )
-                            continue
-                        self._record_failure(
-                            label, wid, attempts[i], repr(cause),
-                            final=attempts[i] > self.retries,
-                        )
-                        if attempts[i] > self.retries:
-                            raise ParallelExecutionError(
-                                label, attempts[i], "exception", str(cause),
-                            ) from cause
-                        submit(i)
-            return [s for s in slots if s is not None]
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _run_inline(
-        self,
-        worker: Callable,
-        items: Sequence,
-        *,
-        total: int | None = None,
-        done_base: int = 0,
-        on_result: Callable | None = None,
-    ) -> list:
-        results = []
-        wid = _worker_id()
-        tracer = self.tracer
-        total = len(items) if total is None else total
-        for i, payload in enumerate(items):
-            label = _label(payload, i)
-            attempts = 0
-            failures: list[AttemptFailure] = []
-            while True:
-                attempts += 1
-                started = time.time()
-                t0 = time.perf_counter()
-                if self.journal.enabled:
-                    self.journal.record(
-                        "cell-started", label=label, worker=wid,
-                        attempt=attempts, ts=started,
-                    )
-                frame = (
-                    tracer.begin_cell(label, attempt=attempts)
-                    if tracer.enabled
-                    else None
-                )
-                try:
-                    if self.faults.enabled:
-                        spec = self.faults.worker_fault(label, attempts)
-                        if spec is not None:
-                            raise_worker_fault(spec, label, in_pool=False)
-                    result = worker(payload)
-                except (ConfigurationError, InjectedCrash):
-                    # misconfiguration never heals on retry; a simulated
-                    # process death must abort like the real thing.
-                    if frame is not None:
-                        tracer.end_cell(frame, failed=True)
-                    raise
-                except Exception as exc:
-                    if frame is not None:
-                        tracer.end_cell(frame, failed=True)
-                    failures.append(AttemptFailure(attempts, wid, repr(exc)))
-                    self._record_failure(
-                        label, wid, attempts, repr(exc),
-                        final=attempts > self.retries,
-                    )
-                    if attempts > self.retries:
-                        raise ParallelExecutionError(
-                            label, attempts, "exception", str(exc),
-                            failures=failures,
-                        ) from exc
-                    continue
-                results.append(result)
-                if on_result is not None:
-                    on_result(i, payload, result)
-                if frame is not None:
-                    tracer.end_cell(frame)
-                self._observe_completion(
-                    label, result, worker=wid, attempt=attempts,
-                    started=started, duration=time.perf_counter() - t0,
-                )
-                break
-            self._report(done_base + i + 1, total, payload)
-        return results
-
-    def _run_pool(
-        self,
-        worker: Callable,
-        items: Sequence,
-        *,
-        total: int | None = None,
-        done_base: int = 0,
-        on_result: Callable | None = None,
-    ) -> list:
-        n = len(items)
-        total = n if total is None else total
-        results: list = [None] * n
+        if not units:
+            return
+        n = len(units)
         attempts = [0] * n
         failures: list[list[AttemptFailure]] = [[] for _ in range(n)]
-        collected = [False] * n
-        done = 0
-        observe = self.journal.enabled
         plan = self.faults.plan if self.faults.enabled else None
-        executor = self._new_executor()
-        index_future: dict[int, Future] = {}
+        pool = self._new_executor() if self.jobs > 1 else None
+        futures: list[Future | None] = [None] * n
 
-        def submit(i: int) -> None:
-            attempts[i] += 1
-            if plan is not None:
-                index_future[i] = executor.submit(
-                    _faulted, plan, worker, items[i],
-                    _label(items[i], i), attempts[i], observe,
+        def submit(u: int) -> None:
+            attempts[u] += 1
+            if pool is None:
+                return  # the inline executor runs the attempt when collected
+            unit = units[u]
+            try:
+                futures[u] = pool.submit(
+                    _pool_task, None if unit.group else plan, unit.fn,
+                    unit.payload, unit.label, attempts[u],
                 )
-            elif observe:
-                index_future[i] = executor.submit(_observed, worker, items[i])
-            else:
-                index_future[i] = executor.submit(worker, items[i])
+            except Exception as exc:
+                # e.g. a pool broken by an earlier task refuses new work:
+                # collect the failure exactly like one raised by ``result``
+                futures[u] = Future()
+                futures[u].set_exception(exc)
 
         try:
-            for i in range(n):
-                submit(i)
-            for i in range(n):
-                label = _label(items[i], i)
-                while not collected[i]:
+            for u in range(n):
+                submit(u)
+            for u, unit in enumerate(units):
+                label = unit.label
+                while True:
+                    frame = None
                     try:
-                        value = index_future[i].result(timeout=self.timeout)
-                        if isinstance(value, _Observed):
-                            results[i] = value.result
-                            if on_result is not None:
-                                on_result(i, items[i], value.result)
-                            if self.tracer.enabled:
-                                self.tracer.emit_leaf(
-                                    "cell", label,
-                                    start=value.started,
-                                    duration=value.duration,
-                                    worker=value.worker,
-                                    attempt=attempts[i],
-                                )
-                            self._observe_completion(
-                                label, value.result, worker=value.worker,
-                                attempt=attempts[i], started=value.started,
-                                duration=value.duration,
-                            )
+                        if pool is None:
+                            obs, frame = self._attempt_here(unit, attempts[u])
                         else:
-                            results[i] = value
-                            if on_result is not None:
-                                on_result(i, items[i], value)
-                            self._observe_completion(
-                                label, value, worker="", attempt=attempts[i],
-                                started=None, duration=None,
-                            )
-                        collected[i] = True
+                            obs = futures[u].result(timeout=self.timeout)
                     except FutureTimeoutError:
-                        failures[i].append(AttemptFailure(
-                            attempts[i], "", f"timeout: exceeded {self.timeout}s"
+                        failures[u].append(AttemptFailure(
+                            attempts[u], "", f"timeout: exceeded {self.timeout}s"
                         ))
                         self._record_failure(
-                            label, "", attempts[i],
+                            label, "", attempts[u],
                             f"timeout after {self.timeout}s", final=True,
                         )
                         raise ParallelExecutionError(
-                            label,
-                            attempts[i],
-                            "timeout",
-                            f"exceeded {self.timeout}s",
-                            failures=failures[i],
+                            label, attempts[u], "timeout",
+                            f"exceeded {self.timeout}s", failures=failures[u],
                         ) from None
                     except BrokenExecutor as exc:
                         # the pool is dead: every outstanding future is
                         # lost.  Rebuild it and resubmit the survivors.
-                        failures[i].append(AttemptFailure(
-                            attempts[i], "", f"broken-pool: {exc!r}"
+                        failures[u].append(AttemptFailure(
+                            attempts[u], "", f"broken-pool: {exc!r}"
                         ))
-                        if attempts[i] > self.retries:
+                        if attempts[u] > self.retries:
                             self._record_failure(
-                                label, "", attempts[i], repr(exc), final=True,
+                                label, "", attempts[u], repr(exc), final=True,
                             )
                             raise ParallelExecutionError(
-                                label,
-                                attempts[i],
-                                "broken-pool",
-                                str(exc),
-                                failures=failures[i],
+                                label, attempts[u], "broken-pool", str(exc),
+                                failures=failures[u],
                             ) from exc
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = self._new_executor()
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        pool = self._new_executor()
                         if self.journal.enabled:
                             self.journal.record(
                                 "pool-rebuilt", label=label, detail=repr(exc)
@@ -941,13 +699,10 @@ class ParallelRunner:
                                 "repro_pool_rebuilds_total",
                                 "worker-pool rebuilds after breakage",
                             ).inc()
-                        for j in range(n):
-                            if not collected[j]:
-                                submit(j)
-                    except (ConfigurationError, InjectedCrash):
-                        # a simulated crash (e.g. journal torn mid-append)
-                        # must abort the campaign, not look like a task
-                        # failure to the retry logic.
+                        for j in range(u, n):
+                            submit(j)
+                        continue
+                    except _FATAL:
                         raise
                     except Exception as exc:
                         cause, wid = (
@@ -955,27 +710,129 @@ class ParallelRunner:
                             if isinstance(exc, _ObservedFailure)
                             else (exc, "")
                         )
-                        failures[i].append(
-                            AttemptFailure(attempts[i], wid, repr(cause))
-                        )
-                        self._record_failure(
-                            label, wid, attempts[i], repr(cause),
-                            final=attempts[i] > self.retries,
-                        )
-                        if attempts[i] > self.retries:
-                            raise ParallelExecutionError(
-                                label,
-                                attempts[i],
-                                "exception",
-                                str(cause),
-                                failures=failures[i],
-                            ) from cause
-                        submit(i)
-                done += 1
-                self._report(done_base + done, total, items[i])
-            return results
+                        if (
+                            unit.group
+                            and isinstance(cause, SimulationError)
+                            and not isinstance(cause, ParallelExecutionError)
+                        ):
+                            obs = self._fallback_group(unit.payload, cause)
+                        else:
+                            failures[u].append(
+                                AttemptFailure(attempts[u], wid, repr(cause))
+                            )
+                            final = attempts[u] > self.retries
+                            self._record_failure(
+                                label, wid, attempts[u], repr(cause),
+                                final=final,
+                            )
+                            if final:
+                                raise ParallelExecutionError(
+                                    label, attempts[u], "exception",
+                                    str(cause), failures=failures[u],
+                                ) from cause
+                            submit(u)
+                            continue
+                    self._complete(tasks, unit, obs, attempts[u], frame)
+                    break
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
+    def _attempt_here(
+        self, unit: _Unit, attempt: int
+    ) -> tuple[_Observed, object]:
+        """Inline executor: run one attempt of ``unit`` in this process.
+
+        Journals ``cell-started`` per cell and matches the fault plan
+        through the parent's injector (which records the firing).  Under
+        a tracer, a scalar unit runs inside a cell frame — so engine
+        compile/advance phases nest under it — that :meth:`_complete`
+        closes after the checkpoint write.  Returns ``(observed, frame)``.
+        """
+        if self.journal.enabled:
+            wid = _worker_id()
+            started = time.time()
+            for label in unit.labels:
+                self.journal.record(
+                    "cell-started", label=label, worker=wid,
+                    attempt=attempt, ts=started,
+                )
+        tracer = self.tracer
+        frame = (
+            tracer.begin_cell(unit.label, attempt=attempt)
+            if tracer.enabled and not unit.group
+            else None
+        )
+        try:
+            fault = (
+                None if unit.group
+                else self.faults.worker_fault(unit.label, attempt)
+            )
+            obs = _observed(
+                unit.fn, unit.payload, fault, unit.label, in_pool=False
+            )
+        except BaseException:
+            if frame is not None:
+                tracer.end_cell(frame, failed=True)
+            raise
+        return obs, frame
+
+    def _complete(
+        self,
+        tasks: _TaskSet,
+        unit: _Unit,
+        obs: _Observed,
+        attempt: int,
+        frame,
+    ) -> None:
+        """The cell-completion sink: every executed cell passes here once.
+
+        Stores the cell's result, checkpoints it (traced as a
+        ``checkpoint`` phase), closes the inline cell frame or emits the
+        cell's leaf span, journals and counts the completion, and
+        reports progress.
+        """
+        tracer = self.tracer
+        outs = obs.result if unit.group else [obs.result]
+        for i, label, result in zip(unit.slots, unit.labels, outs):
+            tasks.results[i] = result
+            key = tasks.keys[i]
+            if key is not None and isinstance(result, list):
+                put_start = time.time()
+                t0 = time.perf_counter()
+                self.checkpoint.put(key, result, label=label)
+                if tracer.enabled:
+                    tracer.phase(
+                        "checkpoint", put_start, time.perf_counter() - t0
+                    )
+            if frame is not None:
+                tracer.end_cell(frame)
+            elif tracer.enabled:
+                tracer.emit_leaf(
+                    "cell", label, start=obs.started, duration=obs.duration,
+                    worker=obs.worker, attempt=attempt,
+                    **({"batched": True} if unit.group else {}),
+                )
+            self._observe_completion(
+                label, result, worker=obs.worker, attempt=attempt,
+                started=obs.started, duration=obs.duration,
+            )
+            tasks.done += 1
+            self._report(tasks.done, len(tasks.items), tasks.items[i])
+
+    def _fallback_group(
+        self, tasks: Sequence[CellTask], exc: Exception
+    ) -> _Observed:
+        """Scalar rescue, in this process, of a batched group that failed
+        as a unit."""
+        if self.journal.enabled:
+            self.journal.record(
+                "batch-fallback", label=_group_label(tasks), detail=repr(exc)
+            )
+        started = time.time()
+        t0 = time.perf_counter()
+        runs = [execute_cell(t) for t in tasks]
+        return _Observed(runs, _worker_id(), started, time.perf_counter() - t0)
 
     def _new_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -1124,12 +981,13 @@ class ParallelRunner:
     # -- sweep execution ----------------------------------------------------
 
     def run_experiment(self, spec: ExperimentSpec) -> SweepResult:
-        """Parallel twin of :func:`repro.run.experiment.run_experiment`.
+        """Run one sweep; :func:`repro.run.experiment.run_experiment`
+        calls this for every sweep, serial ones included.
 
-        Decomposes the sweep into cell tasks, fans them out, and
-        reassembles the grid in serial order — the returned
-        :class:`SweepResult` is field-for-field identical to the serial
-        run at the same seed.
+        Decomposes the sweep into cell tasks, runs them, and reassembles
+        the grid in serial order — the returned :class:`SweepResult` is
+        field-for-field identical at any job count, batched or not, at
+        the same seed.
         """
         tasks, platform_order = cell_tasks(spec)
         cell_runs = self.run_tasks(execute_cell, tasks)

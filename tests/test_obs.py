@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -242,12 +243,21 @@ class TestJournalFromRuns:
             plain.to_dict(), sort_keys=True
         )
 
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_serial_and_parallel_journals_agree(self, jobs):
+    @pytest.mark.parametrize(
+        "jobs,batch",
+        [
+            pytest.param(2, False, id="2"),
+            pytest.param(3, False, id="3"),
+            pytest.param(2, True, id="2-batch"),
+        ],
+    )
+    def test_serial_and_parallel_journals_agree(self, jobs, batch):
         """The logical event sequence — (kind, label, attempt, cached) for
         every queued/finished/cache/retry/failure event — is identical at
         any job count; only timings and worker identities may differ
-        (worker-local ``cell-started`` events are inline-path only)."""
+        (worker-local ``cell-started`` events are inline-path only).
+        The batched pool leg journals its partition and runs groups in
+        its own order, but every cell's events appear exactly as often."""
         spec = tiny_spec(seed=3, instances=("Large", "xLarge"))
 
         def normalized(journal):
@@ -257,11 +267,22 @@ class TestJournalFromRuns:
                 if e.kind != "cell-started"
             ]
 
+        def per_cell(journal):
+            return Counter(
+                (e.kind, e.label) for e in journal.events
+                if e.kind in ("cell-finished", "cell-dist", "cell-ledger")
+            )
+
         serial = MemoryJournal()
         run_experiment(spec, journal=serial)
         parallel = MemoryJournal()
-        run_experiment(spec, jobs=jobs, journal=parallel)
-        assert normalized(parallel) == normalized(serial)
+        run_experiment(spec, jobs=jobs, journal=parallel, batch=batch)
+        if batch:
+            assert parallel.count("batch-partition") == 1
+        else:
+            assert normalized(parallel) == normalized(serial)
+        assert per_cell(parallel) == per_cell(serial)
+        assert len(per_cell(serial)) == 3 * 6
 
     def test_retry_events_journaled(self, tmp_path):
         jl = MemoryJournal()

@@ -36,7 +36,8 @@ from repro.run.parallel import (
     default_jobs,
     execute_cell,
 )
-from repro.run.persistence import SweepCache
+from repro.obs.journal import MemoryJournal
+from repro.run.persistence import CellStore, SweepCache
 from repro.sched.affinity import ProvisioningMode
 
 
@@ -99,6 +100,16 @@ def _flaky_add_one(payload):
 
 def _always_fails(payload):
     raise RuntimeError("permanent failure")
+
+
+def _failing_batch_group(tasks):
+    raise RuntimeError("batched group failed")
+
+
+def runs_json(cell_runs) -> str:
+    return json.dumps(
+        [[r.to_dict() for r in runs] for runs in cell_runs], sort_keys=True
+    )
 
 
 class TestSerialParallelEquivalence:
@@ -224,6 +235,58 @@ class TestFailureInjection:
             [run.value for run in cell] for cell in results
         ] == [[run.value for run in cell] for cell in clean]
 
+    def test_pool_break_at_submit_rebuilds_pool(self, monkeypatch):
+        """A pool that breaks while tasks are still being submitted
+        (``submit`` raises ``BrokenProcessPool``) is handled like a break
+        at ``result``: one rebuild, the uncollected tasks resubmitted,
+        and results identical to the inline run."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        tasks, _ = cell_tasks(tiny_spec(seed=6, instances=("Large",)))
+        built = []
+        new_executor = ParallelRunner._new_executor
+
+        def breaking_executor(runner):
+            executor = new_executor(runner)
+            if not built:
+                submit, calls = executor.submit, []
+
+                def submit_once_broken(*args, **kwargs):
+                    calls.append(args)
+                    if len(calls) == 2:
+                        raise BrokenProcessPool("pool broke at submit")
+                    return submit(*args, **kwargs)
+
+                executor.submit = submit_once_broken
+            built.append(executor)
+            return executor
+
+        monkeypatch.setattr(ParallelRunner, "_new_executor", breaking_executor)
+        jl = MemoryJournal()
+        results = ParallelRunner(2, journal=jl).run_tasks(execute_cell, tasks)
+        clean = ParallelRunner(1).run_tasks(execute_cell, tasks)
+        assert runs_json(results) == runs_json(clean)
+        assert jl.count("pool-rebuilt") == 1
+        assert len(built) == 2
+
+    def test_batched_group_failure_carries_history(self, monkeypatch):
+        """A batched group that exhausts its retries on the pool raises
+        with one :class:`AttemptFailure` per attempt, like a scalar
+        cell."""
+        import repro.run.parallel as par
+
+        # patched before the pool forks, to a picklable module function
+        monkeypatch.setattr(par, "_execute_batch_group", _failing_batch_group)
+        tasks, _ = cell_tasks(tiny_spec(seed=7, instances=("Large",)))
+        runner = ParallelRunner(2, retries=1, batch=True)
+        with pytest.raises(ParallelExecutionError) as exc_info:
+            runner.run_tasks(execute_cell, tasks)
+        err = exc_info.value
+        assert err.reason == "exception"
+        assert len(err.failures) == runner.retries + 1
+        assert [f.attempt for f in err.failures] == [1, 2]
+        assert all("batched group failed" in f.error for f in err.failures)
+
     def test_retries_exhausted_raises_structured_error(self):
         runner = ParallelRunner(2, retries=1)
         with pytest.raises(ParallelExecutionError) as exc_info:
@@ -296,18 +359,47 @@ class TestRunnerConfig:
 
 
 class TestProgressReporting:
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_progress_counts_every_task(self, jobs):
-        spec = tiny_spec(seed=2, instances=("Large",))
-        tasks, _ = cell_tasks(spec)
-        seen: list[tuple[int, int, str]] = []
+    @pytest.mark.parametrize(
+        "jobs,batch,warm",
+        [
+            pytest.param(1, False, False, id="1"),
+            pytest.param(3, False, False, id="3"),
+            pytest.param(1, True, False, id="1-batch"),
+            pytest.param(2, True, False, id="2-batch"),
+            pytest.param(1, False, True, id="1-resume"),
+            pytest.param(3, False, True, id="3-resume"),
+            pytest.param(2, True, True, id="2-batch-resume"),
+        ],
+    )
+    def test_progress_counts_every_task(self, jobs, batch, warm, tmp_path):
+        """On every leg ``done`` runs 1..n exactly once with ``total ==
+        n``; checkpoint-replayed cells (``warm``: every other cell was
+        checkpointed beforehand) arrive first, as resumed
+        :class:`CachedCell` payloads."""
+        tasks, _ = cell_tasks(tiny_spec(seed=2))
+        store = CellStore(tmp_path / "cells") if warm else None
+        if warm:
+            ParallelRunner(1, checkpoint=store).run_tasks(
+                execute_cell, tasks[::2]
+            )
+        seen: list[tuple[int, int, object]] = []
         runner = ParallelRunner(
-            jobs, progress=lambda d, t, task: seen.append((d, t, task.label))
+            jobs, batch=batch, checkpoint=store,
+            progress=lambda d, t, payload: seen.append((d, t, payload)),
         )
         runner.run_tasks(execute_cell, tasks)
-        assert [d for d, _, _ in seen] == list(range(1, len(tasks) + 1))
-        assert all(t == len(tasks) for _, t, _ in seen)
-        assert [label for _, _, label in seen] == [t.label for t in tasks]
+        n = len(tasks)
+        assert [d for d, _, _ in seen] == list(range(1, n + 1))
+        assert all(t == n for _, t, _ in seen)
+        payloads = [p for _, _, p in seen]
+        replayed = [p for p in payloads if isinstance(p, CachedCell)]
+        assert all(p.resumed for p in replayed)
+        assert [p.task for p in replayed] == (tasks[::2] if warm else [])
+        assert payloads[: len(replayed)] == replayed
+        labels = [p.label for p in payloads]
+        assert sorted(labels) == sorted(t.label for t in tasks)
+        if not (warm or batch):
+            assert labels == [t.label for t in tasks]
 
 
 class TestCacheIntegration:
