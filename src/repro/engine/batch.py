@@ -113,12 +113,13 @@ def sim_shape_key(sim: Simulator) -> tuple | None:
     Two sims share a key exactly when their compiled programs have the
     same thread count and per-thread segment-kind layout — the condition
     for their dynamic state to stack into rectangular ``(B, n)`` tables.
-    Work amounts, penalties and durations may differ freely.
+    Work amounts, penalties and durations may differ freely.  The key
+    reuses the digests :func:`~repro.engine.compile.compile_programs`
+    took when it shared the ``kind`` and ``seg_base`` columns.
     """
     if not batch_eligible(sim):
         return None
-    c = sim._compiled
-    return (sim.n_threads, c.kind.tobytes(), c.seg_base.tobytes())
+    return (sim.n_threads, sim._compiled._layout)
 
 
 def partition_sims(

@@ -26,15 +26,24 @@ floating-point expression* the interpreted engine evaluated per event,
 on the same operands, so compiled runs are bit-for-bit identical to the
 historical per-segment dispatch.
 
-Python-list mirrors of the hot columns are materialised as well: the
-scalar advance path reads single elements, and plain ``float`` access
-through a list is several times faster than numpy scalar indexing while
-remaining IEEE-identical.
+Every column is *shared*: a module-level weak table keyed by (column
+name, dtype, length, blake2b digest of the bytes) hands out one
+read-only array per distinct column, so the many simulations of a
+campaign that compile bitwise-identical columns (every platform of a
+rep, every rate of a load-curve ladder under common random numbers)
+hold one copy between them.  A column leaves the table when the last
+simulation holding it is released.  Each shared column carries one
+tuple mirror: the scalar advance path reads single elements, and plain
+``float`` access through a tuple is several times faster than numpy
+scalar indexing while remaining IEEE-identical.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -70,21 +79,58 @@ def _barrier_key(pidx: int, seg: BarrierSegment) -> tuple[int, int]:
     return (-1 if seg.scope == "global" else pidx, seg.barrier_id)
 
 
+# Shared columns: key -> (weak reference to the read-only array, its
+# tuple mirror).  An entry lives exactly as long as its array.
+_COLUMNS: dict[tuple, tuple[weakref.ref, tuple]] = {}
+
+
+def _release(key: tuple, ref: weakref.ref) -> None:
+    entry = _COLUMNS.get(key)
+    if entry is not None and entry[0] is ref:
+        del _COLUMNS[key]
+
+
+def _share(name: str, col: np.ndarray) -> tuple[np.ndarray, tuple, tuple]:
+    """The shared copy of ``col``: ``(array, tuple mirror, key)``.
+
+    A live column with the same key and the same bytes is reused;
+    otherwise ``col`` is frozen and registered under the key.  Bytes are
+    compared through a ``uint8`` view, so sharing is bitwise (``-0.0``
+    and NaN payloads included).
+    """
+    key = (
+        name,
+        col.dtype.str,
+        col.size,
+        hashlib.blake2b(col.data, digest_size=32).digest(),
+    )
+    entry = _COLUMNS.get(key)
+    if entry is not None:
+        shared = entry[0]()
+        if shared is not None and np.array_equal(
+            shared.view(np.uint8), col.view(np.uint8)
+        ):
+            return shared, entry[1], key
+    col.flags.writeable = False
+    mirror = tuple(col.tolist())
+    _COLUMNS[key] = (weakref.ref(col, partial(_release, key)), mirror)
+    return col, mirror, key
+
+
 @dataclass
 class CompiledPrograms:
     """Columnar tables over all segments of all threads.
 
     Segment ``p`` of thread ``tid`` lives at flat row
-    ``seg_base[tid] + p``; a thread's rows are contiguous and
-    ``seg_count[tid]`` long.  Columns not applicable to a row's kind hold
-    zeros.  The ``*_l`` attributes are Python-list mirrors of the numpy
-    columns for fast scalar access.
+    ``seg_base[tid] + p``; a thread's rows are contiguous and end at
+    ``seg_base[tid + 1]``.  Columns not applicable to a row's kind hold
+    zeros.  The columns are shared, read-only arrays; the ``*_l``
+    attributes are their tuple mirrors for fast scalar access.
     """
 
     n_threads: int
     n_segments: int
     seg_base: np.ndarray  # int64, n_threads + 1 (prefix offsets)
-    seg_count: np.ndarray  # int64, n_threads
     kind: np.ndarray  # int8
     work: np.ndarray  # float64: compute core-seconds
     mem: np.ndarray  # float64: compute mem_intensity
@@ -108,48 +154,29 @@ class CompiledPrograms:
         default_factory=dict
     )
 
-    # list mirrors (populated by compile_programs)
-    seg_base_l: list[int] = field(default_factory=list)
-    kind_l: list[int] = field(default_factory=list)
-    work_l: list[float] = field(default_factory=list)
-    mem_l: list[float] = field(default_factory=list)
-    pp_l: list[float] = field(default_factory=list)
-    io_disk_l: list[bool] = field(default_factory=list)
-    io_base_l: list[float] = field(default_factory=list)
-    io_raw_l: list[float] = field(default_factory=list)
-    io_write_l: list[bool] = field(default_factory=list)
-    io_net_dur_l: list[float] = field(default_factory=list)
-    io_scale_l: list[float] = field(default_factory=list)
-    io_fixed_l: list[float] = field(default_factory=list)
-    io_irqs_l: list[int] = field(default_factory=list)
-    io_extra_l: list[float] = field(default_factory=list)
-    io_wakemig_l: list[float] = field(default_factory=list)
-    comm_dur_l: list[float] = field(default_factory=list)
-    bar_key_l: list[int] = field(default_factory=list)
-    mark_mask_l: list[bool] = field(default_factory=list)
-    mark_submit_l: list[float] = field(default_factory=list)
-
-    def finalize_mirrors(self) -> None:
-        """(Re)build the Python-list mirrors from the numpy columns."""
-        self.seg_base_l = self.seg_base.tolist()
-        self.kind_l = self.kind.tolist()
-        self.work_l = self.work.tolist()
-        self.mem_l = self.mem.tolist()
-        self.pp_l = self.pp.tolist()
-        self.io_disk_l = self.io_disk.tolist()
-        self.io_base_l = self.io_base.tolist()
-        self.io_raw_l = self.io_raw.tolist()
-        self.io_write_l = self.io_write.tolist()
-        self.io_net_dur_l = self.io_net_dur.tolist()
-        self.io_scale_l = self.io_scale.tolist()
-        self.io_fixed_l = self.io_fixed.tolist()
-        self.io_irqs_l = self.io_irqs.tolist()
-        self.io_extra_l = self.io_extra.tolist()
-        self.io_wakemig_l = self.io_wakemig.tolist()
-        self.comm_dur_l = self.comm_dur.tolist()
-        self.bar_key_l = self.bar_key.tolist()
-        self.mark_mask_l = self.mark_mask.tolist()
-        self.mark_submit_l = self.mark_submit.tolist()
+    # tuple mirrors (shared with the columns)
+    seg_base_l: tuple[int, ...] = ()
+    kind_l: tuple[int, ...] = ()
+    work_l: tuple[float, ...] = ()
+    mem_l: tuple[float, ...] = ()
+    pp_l: tuple[float, ...] = ()
+    io_disk_l: tuple[bool, ...] = ()
+    io_base_l: tuple[float, ...] = ()
+    io_raw_l: tuple[float, ...] = ()
+    io_write_l: tuple[bool, ...] = ()
+    io_net_dur_l: tuple[float, ...] = ()
+    io_scale_l: tuple[float, ...] = ()
+    io_fixed_l: tuple[float, ...] = ()
+    io_irqs_l: tuple[int, ...] = ()
+    io_extra_l: tuple[float, ...] = ()
+    io_wakemig_l: tuple[float, ...] = ()
+    comm_dur_l: tuple[float, ...] = ()
+    bar_key_l: tuple[int, ...] = ()
+    mark_mask_l: tuple[bool, ...] = ()
+    mark_submit_l: tuple[float, ...] = ()
+    # table keys of (kind, seg_base): equal exactly when the segment-kind
+    # layouts are equal (see repro.engine.batch.sim_shape_key)
+    _layout: tuple = field(default=(), repr=False)
 
 
 def compile_programs(
@@ -285,31 +312,24 @@ def compile_programs(
                     barrier_participants.get(key, 0) + 1
                 )
 
-    tables = CompiledPrograms(
+    columns = {
+        "seg_base": seg_base, "kind": kind, "work": work, "mem": mem,
+        "pp": pp, "io_disk": io_disk, "io_base": io_base, "io_raw": io_raw,
+        "io_write": io_write, "io_net_dur": io_net_dur,
+        "io_scale": io_scale, "io_fixed": io_fixed, "io_irqs": io_irqs,
+        "io_extra": io_extra, "io_wakemig": io_wakemig,
+        "comm_dur": comm_dur, "bar_key": bar_key, "mark_mask": mark_mask,
+        "mark_submit": mark_submit,
+    }
+    fields: dict[str, object] = {}
+    keys: dict[str, tuple] = {}
+    for name, col in columns.items():
+        fields[name], fields[name + "_l"], keys[name] = _share(name, col)
+    return CompiledPrograms(
         n_threads=n,
         n_segments=total,
-        seg_base=seg_base,
-        seg_count=np.diff(seg_base),
-        kind=kind,
-        work=work,
-        mem=mem,
-        pp=pp,
-        io_disk=io_disk,
-        io_base=io_base,
-        io_raw=io_raw,
-        io_write=io_write,
-        io_net_dur=io_net_dur,
-        io_scale=io_scale,
-        io_fixed=io_fixed,
-        io_irqs=io_irqs,
-        io_extra=io_extra,
-        io_wakemig=io_wakemig,
-        comm_dur=comm_dur,
-        bar_key=bar_key,
         bar_keys=bar_keys,
-        mark_mask=mark_mask,
-        mark_submit=mark_submit,
         barrier_participants=barrier_participants,
+        _layout=(keys["kind"], keys["seg_base"]),
+        **fields,
     )
-    tables.finalize_mirrors()
-    return tables

@@ -48,8 +48,13 @@ the same operands):
   thread's segment list is flattened up front into columnar tables —
   segment kinds, compute work, precomputed per-group platform penalties,
   IO and communication durations — so a segment transition is a handful
-  of list lookups instead of ``isinstance`` dispatch and per-event
-  overhead-model calls.
+  of tuple lookups instead of ``isinstance`` dispatch and per-event
+  overhead-model calls.  The tables are all a prepared simulator keeps
+  of its programs: it holds no segment objects, op-mark dicts or
+  deployments after compiling (only each group's overhead model and
+  label), and bitwise-identical columns are one shared, read-only
+  array across every live simulator, so a batch of paired reps costs
+  little more memory than its distinct columns.
 
 * **Indexed event calendar** (:mod:`repro.engine.calendar`): pending
   wake-ups and arrivals live in a lazy-deletion heap, and the runnable
@@ -400,7 +405,6 @@ class Simulator:
                 if type(trace) is NullTraceSink
                 else TeeTraceSink(profiler, trace)
             )
-        self.deployments = deployments
         self.host_capacity = float(host_capacity)
         self.storage = storage
         self.network = network
@@ -434,9 +438,6 @@ class Simulator:
 
         n = tid
         self.n_threads = n
-        self.programs = programs
-        self.proc_of = proc_of
-        self.op_marks = op_marks
 
         self.state = np.full(n, _PRE, dtype=np.int8)
         self.remaining = np.zeros(n)
@@ -461,6 +462,11 @@ class Simulator:
         self.op_group: list[int] = []
         self.t = 0.0
         self.n_done = 0
+
+        # per-group overhead models and labels: the only parts of the
+        # deployments the run reads once the programs are compiled
+        self._g_overhead = [d.overhead for d in deployments]
+        self._g_label = [d.label for d in deployments]
 
         # per-group precomputed overhead scalars
         self._g_capacity = np.array([d.capacity for d in deployments])
@@ -575,7 +581,7 @@ class Simulator:
         cap = self._cap0
         host_scale = min(1.0, self.host_capacity / min(n, cap))
         osr = n / cap
-        ov = self.deployments[0].overhead
+        ov = self._g_overhead[0]
         eff = ov.efficiency(osr)
         mig = ov.migration_slowdown(osr)
         er = self._cfs.event_rate(osr)
@@ -627,7 +633,7 @@ class Simulator:
         for g in range(self.n_groups):
             if not active[g]:
                 continue
-            ov = self.deployments[g].overhead
+            ov = self._g_overhead[g]
             eff_g[g] = ov.efficiency(float(osr_g[g]))
             mig_g[g] = ov.migration_slowdown(float(osr_g[g]))
             event_rate_g[g] = self._cfs.event_rate(float(osr_g[g]))
@@ -1066,7 +1072,7 @@ class Simulator:
         responses = np.asarray(self.op_responses, dtype=float)
         op_groups = np.asarray(self.op_group, dtype=np.int64)
         groups: list[GroupResult] = []
-        for g, dep in enumerate(self.deployments):
+        for g, label in enumerate(self._g_label):
             mask = self.group_of == g
             g_finish = finish[mask]
             g_makespan = float(np.nanmax(g_finish)) if g_finish.size else 0.0
@@ -1079,7 +1085,7 @@ class Simulator:
             )
             groups.append(
                 GroupResult(
-                    label=dep.label, makespan=g_makespan, op_responses=g_resp
+                    label=label, makespan=g_makespan, op_responses=g_resp
                 )
             )
         return EngineResult(

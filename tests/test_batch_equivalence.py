@@ -407,3 +407,92 @@ class TestOpenLoopEquivalence:
         assert "op" in scalar[1][0].dist
         assert _runs_json(batched) == _runs_json(scalar)
         assert _runs_json(pool) == _runs_json(scalar)
+
+
+# -- shared compiled columns -----------------------------------------------
+
+
+class TestSharedColumns:
+    """A batched load-curve ladder holds one read-only copy of each
+    distinct compiled column.  Common random numbers give rep k the same
+    draws at every rate and on every platform, so its ``work`` column is
+    one object across the whole ladder."""
+
+    @pytest.fixture(scope="class")
+    def entry(self, tmp_path_factory):
+        """The ladder's sims as ``run_batched`` receives them, with each
+        sim's rep, platform and rate, and the live traced bytes then."""
+        import gc
+        import tracemalloc
+
+        import repro.run.parallel as par
+        from repro.cli import main
+
+        out = tmp_path_factory.mktemp("ladder")
+        real_prepare, real_batched = par.prepare_run, par.run_batched
+        preps, seen = [], {}
+
+        def prepare(workload, platform, *args, **kwargs):
+            prep = real_prepare(workload, platform, *args, **kwargs)
+            preps.append((prep.sim, prep.rep, platform.label, workload.rate))
+            return prep
+
+        def batched(sims):
+            gc.collect()
+            seen["live"] = tracemalloc.get_traced_memory()[0] - base
+            ids = {id(s) for s in sims}
+            seen["cells"] = [
+                (rep, label, rate, sim._compiled)
+                for sim, rep, label, rate in preps
+                if id(sim) in ids
+            ]
+            assert len(seen["cells"]) == len(sims)
+            return real_batched(sims)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(par, "prepare_run", prepare)
+            mp.setattr(par, "run_batched", batched)
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                assert main([
+                    "loadcurve", "--rates", "80,160,240", "--requests", "100",
+                    "--reps", "2", "--batch", "--out", str(out / "r.md"),
+                ]) == 0
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+        preps.clear()
+        return seen
+
+    def test_one_work_column_per_rep(self, entry):
+        cells = entry["cells"]
+        assert len(cells) == 3 * 5 * 2
+        by_rep: dict[int, list] = {}
+        for rep, label, rate, compiled in cells:
+            by_rep.setdefault(rep, []).append((label, rate, compiled))
+        assert sorted(by_rep) == [0, 1]
+        for rep_cells in by_rep.values():
+            # every platform at every rate
+            assert len({(label, rate) for label, rate, _ in rep_cells}) == 15
+            tables = [c for *_, c in rep_cells]
+            assert all(c.work is tables[0].work for c in tables)
+            assert all(c.work_l is tables[0].work_l for c in tables)
+        assert by_rep[0][0][2].work is not by_rep[1][0][2].work
+        # the rep-independent layout is one object for the whole ladder
+        assert all(c.kind is cells[0][3].kind for *_, c in cells)
+
+    def test_shared_columns_are_read_only(self, entry):
+        compiled = entry["cells"][0][3]
+        for name in ("seg_base", "kind", "work", "pp", "io_net_dur",
+                     "mark_submit"):
+            col = getattr(compiled, name)
+            assert col.flags.writeable is False, name
+            with pytest.raises(ValueError):
+                col[0] = col[0]
+        assert isinstance(compiled.work_l, tuple)
+
+    def test_live_bytes_per_segment_row(self, entry):
+        rows = sum(c.n_segments for *_, c in entry["cells"])
+        assert entry["live"] / rows <= 400

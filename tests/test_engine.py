@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -400,6 +404,60 @@ class TestColocatedAccounting:
         assert a.size == 0 and b.size == 0
         assert a is not b
         assert a is not res.op_responses
+
+
+class TestAuthoringObjectsReleased:
+    """A prepared simulator keeps only its compiled tables: the segment
+    objects it was built from are freed with the caller's last
+    reference, and the caller's deployments are never changed."""
+
+    def test_segments_released_after_compile(self):
+        seg = ComputeSegment(work=0.5, mem_intensity=0.2)
+        ref = weakref.ref(seg)
+        processes = [
+            proc(
+                ThreadSpec(
+                    program=[seg, IoSegment(device_time=0.01, irqs=1)],
+                    op_marks=[OpMark(seg_index=0, submitted_at=0.0)],
+                ),
+                compute_thread(0.3),
+            )
+        ]
+        sim = Simulator(
+            processes, EngineConfig(capacity=4.0, overhead=bm_overhead(4))
+        )
+        del processes, seg
+        gc.collect()
+        assert ref() is None
+        res = sim.run()
+        assert res.op_responses.size == 1
+        assert res.makespan > 0.5
+
+    def test_colocated_twice_from_same_deployments(self):
+        helper = TestColocatedAccounting()
+        deps = [
+            helper._deployment(helper._mixed_threads(4, mark=True), "a"),
+            helper._deployment(helper._mixed_threads(6), "b", capacity=2.0),
+        ]
+        processes = [d.processes for d in deps]
+        before = copy.deepcopy(processes)
+
+        def once():
+            res = Simulator.colocated(deps, host_capacity=4.0).run()
+            return (
+                res.makespan,
+                res.thread_finish_times.tolist(),
+                res.op_responses.tolist(),
+                res.counters.to_dict(),
+                [(g.label, g.makespan, g.op_responses.tolist())
+                 for g in res.groups],
+            )
+
+        first = once()
+        assert once() == first
+        for dep, procs, snapshot in zip(deps, processes, before):
+            assert dep.processes is procs
+            assert dep.processes == snapshot
 
 
 class TestWaveScalarEquivalence:
