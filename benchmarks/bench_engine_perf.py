@@ -20,6 +20,7 @@ import time
 from repro import (
     CassandraWorkload,
     FfmpegWorkload,
+    ParallelRunner,
     WordPressWorkload,
     instance_type,
     instance_types_upto,
@@ -81,7 +82,8 @@ def test_perf_parallel_sweep_speedup(benchmark, results_dir):
 
     def parallel_sweep():
         return run_platform_sweep(
-            FfmpegWorkload(), instances, jobs=4, batch=True, **kwargs
+            FfmpegWorkload(), instances,
+            runner=ParallelRunner(4, batch=True), **kwargs,
         )
 
     t0 = time.perf_counter()
@@ -133,12 +135,13 @@ def test_perf_journal_overhead(benchmark, results_dir, tmp_path):
         return time.perf_counter() - t0, sweep
 
     t_off, off = timed()
-    t_null, _ = timed(journal=NULL_JOURNAL)
+    t_null, _ = timed(runner=ParallelRunner(journal=NULL_JOURNAL))
     journal = JsonlJournal(tmp_path / "bench.jsonl")
 
     def journaled():
         return run_platform_sweep(
-            FfmpegWorkload(), instances, journal=journal, **kwargs
+            FfmpegWorkload(), instances,
+            runner=ParallelRunner(journal=journal), **kwargs,
         )
 
     t0 = time.perf_counter()

@@ -38,7 +38,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import Campaign, CellStore, run_campaign
+from repro import Campaign, CellStore, ParallelRunner, run_campaign
 from repro.analysis.adaptive import AdaptiveRepsPolicy
 from repro.analysis.report import generate_report
 from repro.analysis.stats import summarize
@@ -62,7 +62,10 @@ def _durable_serial(workdir: Path) -> str:
     store.clear()
     journal = JsonlJournal(workdir / "serial.jsonl")
     try:
-        result = run_campaign(_campaign(), journal=journal, checkpoint=store)
+        result = run_campaign(
+            _campaign(),
+            runner=ParallelRunner(journal=journal, checkpoint=store),
+        )
     finally:
         journal.close()
     return generate_report(result)

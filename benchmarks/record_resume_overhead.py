@@ -32,7 +32,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import Campaign, CellStore, run_campaign
+from repro import Campaign, CellStore, ParallelRunner, run_campaign
 from repro.analysis.report import generate_report
 
 RESULT = Path(__file__).parent / "results" / "resume_overhead.json"
@@ -67,15 +67,17 @@ def main(argv: list[str] | None = None) -> int:
         def checkpointed():
             store = CellStore(workdir / "cells")
             store.clear()
-            return run_campaign(_campaign(), checkpoint=store)
+            return run_campaign(
+                _campaign(), runner=ParallelRunner(checkpoint=store)
+            )
 
         ckpt_s, _ = _time(checkpointed, args.reps)
 
         warm = CellStore(workdir / "cells")
-        run_campaign(_campaign(), checkpoint=warm)  # warm the store once
+        resumer = ParallelRunner(checkpoint=warm)
+        run_campaign(_campaign(), runner=resumer)  # warm the store once
         resume_s, resumed = _time(
-            lambda: run_campaign(_campaign(), checkpoint=warm, resume=True),
-            args.reps,
+            lambda: run_campaign(_campaign(), runner=resumer), args.reps
         )
 
         if generate_report(resumed) != generate_report(plain):

@@ -28,9 +28,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro import Campaign
+from repro import Campaign, ParallelRunner
 from repro.analysis.report import generate_report
-from repro.obs import MemoryJournal, TraceContext, mint_trace_id
+from repro.obs import MemoryJournal, SpanTracer, TraceContext, mint_trace_id
 from repro.run.campaign import run_campaign
 
 BASELINE = Path(__file__).parent / "results" / "trace_overhead.json"
@@ -50,12 +50,22 @@ def _ctx(name: str) -> TraceContext:
     return TraceContext(mint_trace_id(f"overhead:{name}"))
 
 
+def _run(campaign: Campaign, name: str | None = None):
+    """One journaled campaign; a ``name`` turns span tracing on."""
+    journal = MemoryJournal()
+    tracer = SpanTracer(journal, _ctx(name)) if name else None
+    runner = ParallelRunner(journal=journal, tracer=tracer)
+    try:
+        return run_campaign(campaign, runner=runner)
+    finally:
+        runner.tracer.close()
+
+
 def _one_timing(name: str, traced: bool) -> float:
     """Wall clock of one journaled campaign, tracing off or on."""
     campaign = CASES[name]()
-    trace = _ctx(name) if traced else None
     t0 = time.perf_counter()
-    run_campaign(campaign, journal=MemoryJournal(), trace=trace)
+    _run(campaign, name if traced else None)
     return time.perf_counter() - t0
 
 
@@ -78,10 +88,8 @@ def check_report_identity() -> None:
     """Tracing must not perturb a single rendered report byte."""
     for name in CASES:
         campaign = CASES[name]()
-        plain = generate_report(run_campaign(campaign, journal=MemoryJournal()))
-        traced = generate_report(
-            run_campaign(campaign, journal=MemoryJournal(), trace=_ctx(name))
-        )
+        plain = generate_report(_run(campaign))
+        traced = generate_report(_run(campaign, name))
         assert plain == traced, f"{name}: tracing changed the rendered report"
 
 

@@ -53,6 +53,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from repro.analysis.bestpractices import BestPracticeAdvisor
 from repro.analysis.chr import estimate_suitable_chr_range
@@ -84,7 +85,7 @@ from repro.run.campaign import (
     Campaign,
     run_campaign,
 )
-from repro.run.parallel import default_jobs
+from repro.run.parallel import ParallelRunner, default_jobs
 from repro.run.persistence import CellStore, SweepCache
 from repro.run.colocation import Tenant, run_colocated
 from repro.run.execution import run_once
@@ -928,7 +929,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         _instances_for(workload_key),
         reps=args.reps,
         seed=args.seed,
-        jobs=_jobs(args),
+        runner=ParallelRunner(_jobs(args)),
     )
     print(render_figure(figure_from_sweep(sweep), title=title))
     print("\noverhead ratios vs Vanilla BM:")
@@ -956,7 +957,7 @@ def _cmd_chr(args: argparse.Namespace) -> int:
         _instances_for(args.workload),
         reps=args.reps,
         seed=args.seed,
-        jobs=_jobs(args),
+        runner=ParallelRunner(_jobs(args)),
     )
     band = estimate_suitable_chr_range(sweep, host)
     ratios = overhead_ratios(sweep, "Vanilla CN")
@@ -1208,6 +1209,52 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _campaign_runner(
+    args: argparse.Namespace,
+    cache: SweepCache | None,
+    trace_key: str | None = None,
+):
+    """One :class:`ParallelRunner` built from a campaign command's flags.
+
+    Closes the tracer, then the journal, on the way out; after a clean
+    run, prints which faults fired.
+    """
+    jobs = _jobs(args)
+    checkpoint = CellStore(args.checkpoint) if args.checkpoint else None
+    if args.resume and checkpoint is None:
+        if cache is None:
+            raise ReproError("--resume needs --checkpoint and/or --cache")
+        checkpoint = CellStore(cache.directory / "cells")
+    plan = FaultPlan.load(args.fault_plan) if args.fault_plan else None
+    if trace_key is not None and not args.journal:
+        raise ReproError(
+            "--trace needs --journal (spans ride in the journal stream)"
+        )
+    journal = open_journal(args.journal, append=args.resume)
+    tracer = None
+    if trace_key is not None:
+        from repro.obs.trace_spans import SpanTracer, TraceContext, mint_trace_id
+
+        tracer = SpanTracer(journal, TraceContext(mint_trace_id(trace_key)))
+    runner = ParallelRunner(
+        jobs,
+        journal=journal,
+        checkpoint=checkpoint,
+        faults=FaultInjector(plan),
+        batch=args.batch,
+        tracer=tracer,
+    )
+    try:
+        yield runner
+    finally:
+        runner.tracer.close()
+        journal.close()
+    if runner.faults.fired:
+        sites = ", ".join(sorted(runner.faults.fired_sites()))
+        print(f"faults fired: {len(runner.faults.fired)} ({sites})")
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     include = tuple(args.only) if args.only else DEFAULT_EXPERIMENTS
     if args.load_sweep and "loadcurve" not in include:
@@ -1218,16 +1265,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         seed=args.seed,
         include=include,
     )
-    jobs = _jobs(args)
     cache = SweepCache(args.cache) if args.cache else None
-    checkpoint = CellStore(args.checkpoint) if args.checkpoint else None
-    if args.resume and checkpoint is None and cache is None:
-        raise ReproError("--resume needs --checkpoint and/or --cache")
-    faults = (
-        FaultInjector(FaultPlan.load(args.fault_plan))
-        if args.fault_plan
-        else None
-    )
     reps_policy = None
     if args.adaptive_reps:
         from repro.analysis.adaptive import AdaptiveRepsPolicy
@@ -1242,52 +1280,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 "--adaptive-reps bypasses the whole-sweep cache; "
                 "drop --cache (per-cell --checkpoint still works)"
             )
-    trace = None
+    trace_key = None
     if args.trace:
-        if not args.journal:
-            raise ReproError(
-                "--trace needs --journal (spans ride in the journal stream)"
-            )
-        from repro.obs.trace_spans import TraceContext, mint_trace_id
-
         # Deterministic: the same campaign traced twice lands in the
         # same trace, so resumed runs extend rather than fork it.
-        trace = TraceContext(
-            mint_trace_id(
-                f"report:{campaign.seed}:{','.join(campaign.include)}"
-            )
-        )
-    journal = open_journal(args.journal, append=args.resume)
-    print(f"running campaign {campaign.include} with {jobs} job(s) ...")
-    try:
+        trace_key = f"report:{campaign.seed}:{','.join(campaign.include)}"
+    with _campaign_runner(args, cache, trace_key) as runner:
+        print(f"running campaign {campaign.include} with {runner.jobs} job(s) ...")
         result = run_campaign(
-            campaign,
-            jobs=jobs,
-            cache=cache,
-            journal=journal,
-            checkpoint=checkpoint,
-            resume=args.resume,
-            faults=faults,
-            batch=args.batch,
-            reps_policy=reps_policy,
-            trace=trace,
+            campaign, runner=runner, cache=cache, reps_policy=reps_policy
         )
-    finally:
-        journal.close()
-    text = generate_report(result)
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(f"wrote {args.out} ({len(text)} chars)")
-    if args.journal:
-        print(f"journal: {args.journal} (inspect with 'repro obs summary')")
-    if trace is not None:
-        print(
-            f"trace {trace.trace_id}: inspect with "
-            f"'repro obs spans {args.journal}'"
-        )
-    if faults is not None and faults.fired:
-        sites = ", ".join(sorted(faults.fired_sites()))
-        print(f"faults fired: {len(faults.fired)} ({sites})")
+        text = generate_report(result)
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {args.out} ({len(text)} chars)")
+        if args.journal:
+            print(f"journal: {args.journal} (inspect with 'repro obs summary')")
+        if runner.tracer.enabled:
+            print(
+                f"trace {runner.tracer.trace_id}: inspect with "
+                f"'repro obs spans {args.journal}'"
+            )
     return 0
 
 
@@ -1309,65 +1322,42 @@ def _cmd_loadcurve(args: argparse.Namespace) -> int:
     campaign = Campaign(
         seed=args.seed, include=("loadcurve",), loadcurve=config
     )
-    jobs = _jobs(args)
     cache = SweepCache(args.cache) if args.cache else None
-    checkpoint = CellStore(args.checkpoint) if args.checkpoint else None
-    if args.resume and checkpoint is None and cache is None:
-        raise ReproError("--resume needs --checkpoint and/or --cache")
-    faults = (
-        FaultInjector(FaultPlan.load(args.fault_plan))
-        if args.fault_plan
-        else None
-    )
-    journal = open_journal(args.journal, append=args.resume)
-    print(
-        f"sweeping {config.workload} over "
-        f"{','.join(f'{r:g}' for r in config.rates)} req/s "
-        f"({config.arrivals} arrivals, {config.instance}, {jobs} job(s)) ..."
-    )
-    try:
-        result = run_campaign(
-            campaign,
-            jobs=jobs,
-            cache=cache,
-            journal=journal,
-            checkpoint=checkpoint,
-            resume=args.resume,
-            faults=faults,
-            batch=args.batch,
-        )
-    finally:
-        journal.close()
-    text = generate_report(result, title="Open-loop saturation sweep")
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(f"wrote {args.out} ({len(text)} chars)")
-    lc = result.loadcurve
-    for platform in lc.platform_order:
-        knee = lc.knees[platform]
-        where = (
-            f"knee at {knee.knee_rate:g} req/s"
-            if knee.knee_rate is not None
-            else f"no knee up to {config.rates[-1]:g} req/s"
-        )
+    with _campaign_runner(args, cache) as runner:
         print(
-            f"  {platform}: {where}, "
-            f"max sustained {knee.max_sustained:.1f} req/s"
+            f"sweeping {config.workload} over "
+            f"{','.join(f'{r:g}' for r in config.rates)} req/s "
+            f"({config.arrivals} arrivals, {config.instance}, "
+            f"{runner.jobs} job(s)) ..."
         )
-    if args.knee_out:
-        with open(args.knee_out, "w") as fh:
-            fh.write(knee_json(lc))
-        print(f"knee analysis: {args.knee_out}")
-    if args.svg:
-        from repro.viz.loadcurve import save_loadcurve_svg
+        result = run_campaign(campaign, runner=runner, cache=cache)
+        text = generate_report(result, title="Open-loop saturation sweep")
+        with open(args.out, "w") as fh:
+            fh.write(text)
+        print(f"wrote {args.out} ({len(text)} chars)")
+        lc = result.loadcurve
+        for platform in lc.platform_order:
+            knee = lc.knees[platform]
+            where = (
+                f"knee at {knee.knee_rate:g} req/s"
+                if knee.knee_rate is not None
+                else f"no knee up to {config.rates[-1]:g} req/s"
+            )
+            print(
+                f"  {platform}: {where}, "
+                f"max sustained {knee.max_sustained:.1f} req/s"
+            )
+        if args.knee_out:
+            with open(args.knee_out, "w") as fh:
+                fh.write(knee_json(lc))
+            print(f"knee analysis: {args.knee_out}")
+        if args.svg:
+            from repro.viz.loadcurve import save_loadcurve_svg
 
-        save_loadcurve_svg(lc, args.svg)
-        print(f"curves: {args.svg}")
-    if args.journal:
-        print(f"journal: {args.journal} (inspect with 'repro obs dist')")
-    if faults is not None and faults.fired:
-        sites = ", ".join(sorted(faults.fired_sites()))
-        print(f"faults fired: {len(faults.fired)} ({sites})")
+            save_loadcurve_svg(lc, args.svg)
+            print(f"curves: {args.svg}")
+        if args.journal:
+            print(f"journal: {args.journal} (inspect with 'repro obs dist')")
     return 0
 
 

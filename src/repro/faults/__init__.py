@@ -19,9 +19,10 @@ failures a scheduled, replayable input instead of an act of fate:
   monkeypatching and zero-cost when unarmed.
 
 Together with the per-cell checkpoint store
-(:class:`~repro.run.persistence.CellStore`) and
-``run_campaign(..., resume=True)``, a campaign killed at *any* injected
-site resumes to a report byte-identical to the uninterrupted run.
+(:class:`~repro.run.persistence.CellStore`) on the campaign's runner
+(``run_campaign(..., runner=ParallelRunner(checkpoint=store))``), a
+campaign killed at *any* injected site resumes to a report
+byte-identical to the uninterrupted run.
 """
 
 from repro.faults.inject import NULL_INJECTOR, FaultInjector, raise_worker_fault

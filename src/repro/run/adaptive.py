@@ -33,7 +33,6 @@ import time
 
 from repro.analysis.adaptive import AdaptiveRepsPolicy
 from repro.hostmodel.topology import HostTopology
-from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.platforms.provisioning import InstanceType
 from repro.platforms.registry import make_platform
 from repro.rng import DEFAULT_SEED, RngFactory
@@ -56,7 +55,6 @@ def run_adaptive_sweep(
     calib: Calibration | None = None,
     seed: int = DEFAULT_SEED,
     runner: ParallelRunner | None = None,
-    journal: Journal | None = None,
 ) -> SweepResult:
     """Run the standard seven-platform sweep under a rep-allocation policy.
 
@@ -66,12 +64,11 @@ def run_adaptive_sweep(
     ``policy`` instead of being uniformly ``reps``.  ``reps`` still
     matters — it is the default per-cell cap (the budget the uniform
     protocol would have spent).  Each allocation round is journaled as a
-    ``reps-allocated`` event carrying the per-cell grants.
+    ``reps-allocated`` event carrying the per-cell grants in the journal
+    of ``runner``, which holds every execution option (default: a
+    one-job :class:`~repro.run.parallel.ParallelRunner`).
     """
-    journal = journal or NULL_JOURNAL
-    runner = runner or ParallelRunner(1, journal=journal)
-    if journal.enabled and not runner.journal.enabled:
-        runner.journal = journal
+    runner = runner or ParallelRunner()
     jl = runner.journal
 
     cap = policy.cap(reps)

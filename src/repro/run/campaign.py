@@ -22,8 +22,6 @@ from repro.analysis.loadcurve import (
     LoadCurveResult,
     build_loadcurve,
 )
-from repro.obs.journal import Journal
-from repro.obs.trace_spans import NULL_TRACER, SpanTracer, TraceContext
 from repro.analysis.stats import StatSummary, summarize
 from repro.errors import ConfigurationError
 from repro.hostmodel.topology import HostTopology, r830_host, small_host
@@ -31,14 +29,13 @@ from repro.platforms.provisioning import instance_type, instance_types_upto
 from repro.platforms.registry import make_platform
 from repro.rng import DEFAULT_SEED, RngFactory
 from repro.run.calibration import Calibration
-from repro.faults import FaultInjector
 from repro.run.experiment import (
     ExperimentSpec,
     platform_sweep_spec,
     run_platform_sweep,
 )
 from repro.run.parallel import CellTask, ParallelRunner, execute_cell
-from repro.run.persistence import CellStore, SweepCache
+from repro.run.persistence import SweepCache
 from repro.run.results import SweepResult
 from repro.workloads.cassandra import CassandraWorkload
 from repro.workloads.ffmpeg import FfmpegWorkload
@@ -341,16 +338,9 @@ def _run_cell_summaries(
 def run_campaign(
     campaign: Campaign | None = None,
     *,
-    jobs: int = 1,
     runner: ParallelRunner | None = None,
     cache: SweepCache | None = None,
-    journal: Journal | None = None,
-    checkpoint: CellStore | None = None,
-    resume: bool = False,
-    faults: FaultInjector | None = None,
-    batch: bool = False,
     reps_policy: "AdaptiveRepsPolicy | None" = None,
-    trace: TraceContext | None = None,
 ) -> CampaignResult:
     """Execute the full evaluation and return everything measured.
 
@@ -358,44 +348,23 @@ def run_campaign(
     ----------
     campaign:
         What to run (default: everything at default fidelity).
-    jobs:
-        Worker process count for the independent cells of every
-        experiment.  Results are bit-for-bit identical to ``jobs=1``
-        (each cell's streams derive from the campaign seed).
     runner:
-        Pre-configured :class:`~repro.run.parallel.ParallelRunner`
-        (overrides ``jobs``; carries timeout/retry/progress policy).
+        The :class:`~repro.run.parallel.ParallelRunner` that runs every
+        cell (default: ``ParallelRunner()``, serial).  Execution options
+        live on it — ``jobs``, ``journal``, ``checkpoint``, ``faults``,
+        ``batch``, ``tracer``, ``metrics``, ``progress``, ``timeout``
+        and ``retries`` — and none of them changes the result: serial,
+        pool, batched, resumed and traced runs give byte-identical
+        reports.  A runner with a checkpoint store resumes a crashed
+        campaign (verified cells replay, only missing or corrupt ones
+        re-execute).  Sweep spans open under ``runner.tracer``, which
+        its owner closes.  An enabled ``runner.faults`` is armed on
+        ``cache``, the checkpoint store and the journal for the length
+        of the call.
     cache:
         Optional :class:`~repro.run.persistence.SweepCache`; the Figs.
         3-6 sweeps are probed by content fingerprint before running and
         written back on completion.
-    journal:
-        Optional run journal; when attached, every cell/sweep lifecycle
-        event of the campaign is streamed into it (see
-        :mod:`repro.obs`), including one ``cell-dist`` event of merged
-        latency sketches per executed cell.  Results are identical with
-        or without.
-    checkpoint:
-        Optional :class:`~repro.run.persistence.CellStore`.  Attached to
-        the runner so every completed cell is persisted as it finishes
-        and verified checkpoints are replayed instead of re-run.
-    resume:
-        Resume a crashed campaign: requires a ``checkpoint`` store (or a
-        ``cache``, from which the conventional ``<cache>/cells`` store
-        is derived).  Completed cells are reconstructed from verified
-        checkpoints and sweep-cache entries; only missing or corrupt
-        cells re-execute.  The result — and the report generated from it
-        — is byte-identical to the uninterrupted run.
-    faults:
-        Optional :class:`~repro.faults.FaultInjector` arming a
-        deterministic fault plan across the campaign's machinery
-        (runner worker sites, cache/checkpoint persistence, journal
-        appends).  Default: no injection, byte-identical results.
-    batch:
-        Advance shape-compatible cells together on the batched engine
-        (:mod:`repro.engine.batch`).  Bit-for-bit identical reports;
-        composes with ``jobs``, ``cache``, ``checkpoint``/``resume``
-        and ``faults`` (fault-armed cells run scalar).
     reps_policy:
         Optional :class:`~repro.analysis.adaptive.AdaptiveRepsPolicy`.
         When given, the Figs. 3-6 sweeps run the CI-width rep
@@ -410,35 +379,10 @@ def run_campaign(
         sweeps bypass the :class:`SweepCache` (its fingerprint does not
         cover the policy) but still use cell checkpoints; Figs. 7-8 are
         unaffected (fixed reps by design).
-    trace:
-        Optional :class:`~repro.obs.trace_spans.TraceContext`.  When
-        given (and a journal is attached), the campaign emits
-        hierarchical trace spans — campaign → sweep → cell attempt →
-        engine phases — as ``span`` journal events under the context's
-        trace id (see :mod:`repro.obs.trace_spans`).  Spans never feed
-        back into measured values, so the result and report are
-        byte-identical with tracing on or off.
     """
     campaign = campaign or Campaign()
-    if resume and checkpoint is None:
-        if cache is None:
-            raise ConfigurationError(
-                "resume=True needs a checkpoint store, or a cache whose "
-                "directory can host the conventional cells/ store"
-            )
-        checkpoint = CellStore(cache.directory / "cells")
-    runner = runner or ParallelRunner(jobs, journal=journal, batch=batch)
-    if batch:
-        runner.batch = True
-    if journal is not None and journal.enabled and not runner.journal.enabled:
-        runner.journal = journal
-    if checkpoint is not None and runner.checkpoint is None:
-        runner.checkpoint = checkpoint
-    tracer = NULL_TRACER
-    if trace is not None and runner.journal.enabled:
-        tracer = SpanTracer(runner.journal, trace)
-    if tracer.enabled and not runner.tracer.enabled:
-        runner.tracer = tracer
+    runner = runner or ParallelRunner()
+    faults, jl, tracer = runner.faults, runner.journal, runner.tracer
     # Arm the injector across the campaign's machinery for the duration
     # of this call only: attachments are restored on the way out, so the
     # same cache/checkpoint/journal objects can be reused for a clean
@@ -449,28 +393,24 @@ def run_campaign(
         armed.append((obj, obj.faults))
         obj.faults = faults
 
-    if faults is not None and faults.enabled:
-        if not runner.faults.enabled:
-            arm(runner)
+    if faults.enabled:
         if cache is not None and not cache.faults.enabled:
             arm(cache)
         if runner.checkpoint is not None and not runner.checkpoint.faults.enabled:
             arm(runner.checkpoint)
-        if runner.journal.enabled:
-            if hasattr(runner.journal, "faults") and not runner.journal.faults.enabled:
-                arm(runner.journal)
-            faults.journal = runner.journal
+        if jl.enabled:
+            if hasattr(jl, "faults") and not jl.faults.enabled:
+                arm(jl)
+            faults.journal = jl
         if tracer.enabled:
             faults.tracer = tracer
-    jl = runner.journal
     t_start = time.perf_counter()
     try:
         if jl.enabled:
             jl.record(
                 "campaign-started",
                 label="campaign",
-                detail=",".join(campaign.include)
-                + (" [resume]" if resume else ""),
+                detail=",".join(campaign.include),
             )
         big = [instance_type(n) for n in _BIG]
         sweeps: dict[str, SweepResult] = {}
@@ -499,7 +439,6 @@ def run_campaign(
                     seed=campaign.seed,
                     runner=runner,
                     cache=cache,
-                    journal=jl,
                 )
 
         if "fig3" in campaign.include:
@@ -556,8 +495,7 @@ def run_campaign(
                 duration=time.perf_counter() - t_start,
             )
     finally:
-        tracer.close()
-        if faults is not None and tracer.enabled:
+        if faults.enabled and tracer.enabled:
             faults.tracer = None
         for obj, prev in reversed(armed):
             obj.faults = prev

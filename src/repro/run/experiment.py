@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.hostmodel.topology import HostTopology, r830_host
-from repro.obs.journal import NULL_JOURNAL, Journal
 from repro.platforms.base import PlatformKind
 from repro.platforms.provisioning import InstanceType
 from repro.platforms.registry import paper_platform_set
@@ -82,10 +81,7 @@ class ExperimentSpec:
 def run_experiment(
     spec: ExperimentSpec,
     *,
-    jobs: int = 1,
     runner: "ParallelRunner | None" = None,
-    journal: Journal | None = None,
-    batch: bool = False,
 ) -> SweepResult:
     """Execute a sweep specification and return the result grid.
 
@@ -98,25 +94,10 @@ def run_experiment(
     <repro.run.parallel.ParallelRunner.run_experiment>`; a serial sweep
     is a one-job runner, which runs every cell inline in this process.
 
-    Parameters
-    ----------
-    jobs:
-        Worker process count.  ``1`` (the default) runs serially in this
-        process; larger values fan the independent cells out over a
-        process pool with bit-for-bit identical results (each
-        repetition's stream is derived from the spec's seed, not from
-        pool scheduling).
-    runner:
-        A pre-configured :class:`~repro.run.parallel.ParallelRunner`
-        (overrides ``jobs``; use for custom timeout/retry/progress).
-    journal:
-        Optional run journal recording the sweep's lifecycle events;
-        results are identical with or without it.
-    batch:
-        Route shape-compatible cells through the batched engine
-        (:mod:`repro.engine.batch`) — bit-identical results, one
-        vectorized advance per wave instead of one scalar simulation
-        per cell.
+    Execution options live on ``runner`` (default: a one-job
+    :class:`~repro.run.parallel.ParallelRunner`): its ``jobs``,
+    ``journal``, ``batch``, checkpoint, fault and retry settings choose
+    how the cells run, never what they measure.
 
     Every repetition carries its simulated latency sketches on
     ``RunResult.dist`` (see :mod:`repro.obs.sketch`); a journaled sweep
@@ -124,12 +105,7 @@ def run_experiment(
     """
     from repro.run.parallel import ParallelRunner
 
-    journal = journal or NULL_JOURNAL
-    runner = runner or ParallelRunner(jobs, journal=journal, batch=batch)
-    if batch:
-        runner.batch = True
-    if journal.enabled and not runner.journal.enabled:
-        runner.journal = journal
+    runner = runner or ParallelRunner()
     jl = runner.journal
     if jl.enabled:
         jl.record("sweep-started", label=spec.workload.name)
@@ -183,25 +159,23 @@ def run_platform_sweep(
     reps: int = 20,
     calib: Calibration | None = None,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
     runner: "ParallelRunner | None" = None,
     cache: "SweepCache | None" = None,
-    journal: Journal | None = None,
-    batch: bool = False,
 ) -> SweepResult:
     """Run the standard seven-platform figure sweep.
 
     Evaluates ``Vanilla/Pinned {VM, VMCN, CN}`` plus ``Vanilla BM`` —
-    the exact configuration set of Figs. 3-6.  With ``jobs > 1`` the
-    cells run on a worker pool (identical results, see
-    :func:`run_experiment`); with a ``cache`` the sweep is first probed
-    by content fingerprint and only executed (then written back) on a
-    miss — an undecodable (torn-write) entry is treated as a miss, noted
-    in the probe event, and atomically overwritten.  Cache-resolved
-    cells are still counted: they reach the runner's progress callback
-    as tagged cache hits and the ``journal`` as ``cell-cache-hit``
-    events, so ``(done, total)`` stays accurate.
+    the exact configuration set of Figs. 3-6 — through ``runner``, which
+    holds every execution option (see :func:`run_experiment`).  With a
+    ``cache`` the sweep is first probed by content fingerprint and only
+    executed (then written back) on a miss — an undecodable (torn-write)
+    entry is treated as a miss, noted in the probe event, and atomically
+    overwritten.  Cache-resolved cells are still counted: they reach the
+    runner's progress callback as tagged cache hits and its journal as
+    ``cell-cache-hit`` events, so ``(done, total)`` stays accurate.
     """
+    from repro.run.parallel import ParallelRunner, cell_tasks
+
     spec = platform_sweep_spec(
         workload,
         instances,
@@ -210,39 +184,30 @@ def run_platform_sweep(
         calib=calib,
         seed=seed,
     )
-    journal = journal or NULL_JOURNAL
+    runner = runner or ParallelRunner()
     if cache is None:
-        return run_experiment(
-            spec, jobs=jobs, runner=runner, journal=journal, batch=batch
-        )
+        return run_experiment(spec, runner=runner)
 
     present = cache.contains(spec)
     cached = cache.get(spec, on_corrupt="miss")
-    if journal.enabled:
+    if runner.journal.enabled:
         detail = cache.path_for(spec).name
         if present and cached is None:
             detail += " (corrupt entry ignored; re-running)"
-        journal.record(
+        runner.journal.record(
             "sweep-cache-probe",
             label=workload.name,
             cached=cached is not None,
             detail=detail,
         )
-    if runner is not None and runner.metrics is not None:
+    if runner.metrics is not None:
         runner.metrics.counter(
             "repro_cache_probes_total", "sweep-cache fingerprint probes"
         ).inc()
     if cached is not None:
-        from repro.run.parallel import ParallelRunner, cell_tasks
-
-        reporter = runner or ParallelRunner(1, journal=journal)
-        if journal.enabled and not reporter.journal.enabled:
-            reporter.journal = journal
         tasks, _ = cell_tasks(spec)
-        reporter.report_cached(tasks)
+        runner.report_cached(tasks)
         return cached
-    sweep = run_experiment(
-        spec, jobs=jobs, runner=runner, journal=journal, batch=batch
-    )
+    sweep = run_experiment(spec, runner=runner)
     cache.put(spec, sweep)
     return sweep

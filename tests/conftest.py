@@ -16,6 +16,9 @@ from repro import (
     r830_host,
 )
 from repro.hostmodel.topology import make_host, small_host
+from repro.run.campaign import Campaign, run_campaign, sweep_spec
+from repro.run.experiment import platform_sweep_spec
+from repro.run.persistence import spec_fingerprint
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +58,34 @@ def large():
 @pytest.fixture(scope="session")
 def four_xlarge():
     return instance_type("4xLarge")
+
+
+# --- the paper campaign, computed once per session ------------------------
+
+
+def _paper_campaign() -> Campaign:
+    return Campaign(reps_fast=1, reps_io=1)
+
+
+@pytest.fixture(scope="session")
+def paper_campaign():
+    """The default-seed, one-repetition paper campaign (every figure)."""
+    return run_campaign(_paper_campaign())
+
+
+@pytest.fixture(scope="session")
+def paper_sweep(paper_campaign):
+    """``paper_sweep(fig, workload, instances)``: the campaign's ``fig``
+    sweep, after checking it has the spec of
+    ``run_platform_sweep(workload, instances, reps=1)``."""
+
+    def sweep(fig, workload, instances):
+        shared = spec_fingerprint(sweep_spec(_paper_campaign(), fig))
+        own = spec_fingerprint(platform_sweep_spec(workload, instances, reps=1))
+        assert shared == own, f"{fig}: shared sweep has a different spec"
+        return paper_campaign.sweep(fig)
+
+    return sweep
 
 
 # --- small, fast workload variants for engine-level tests -----------------

@@ -61,6 +61,7 @@ from repro.rng import RngFactory
 from repro.run.calibration import Calibration
 from repro.run.execution import finish_run, prepare_run
 from repro.run.parallel import CellTask, ParallelRunner, execute_cell
+from repro.run.persistence import CellStore
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads.openloop import OpenLoopCassandra, OpenLoopWordPress
 
@@ -193,11 +194,11 @@ class TestBatchCampaignGolden:
         assert generate_report(run_campaign(_camp())) == _golden_report()
 
     def test_batched_matches_golden(self):
-        result = run_campaign(_camp(), batch=True)
+        result = run_campaign(_camp(), runner=ParallelRunner(batch=True))
         assert generate_report(result) == _golden_report()
 
     def test_parallel_batched_matches_golden(self):
-        result = run_campaign(_camp(), batch=True, jobs=2)
+        result = run_campaign(_camp(), runner=ParallelRunner(2, batch=True))
         assert generate_report(result) == _golden_report()
 
 
@@ -213,11 +214,23 @@ class TestBatchedResume:
         inj = FaultInjector(FaultPlan.random(seed, abort=True))
         try:
             run_campaign(
-                _camp(), cache=cache, resume=True, faults=inj, batch=True
+                _camp(),
+                cache=cache,
+                runner=ParallelRunner(
+                    checkpoint=CellStore(cache.directory / "cells"),
+                    faults=inj,
+                    batch=True,
+                ),
             )
         except (InjectedFault, ParallelExecutionError):
             pass  # the scheduled crash
-        result = run_campaign(_camp(), cache=cache, resume=True, batch=True)
+        result = run_campaign(
+            _camp(),
+            cache=cache,
+            runner=ParallelRunner(
+                checkpoint=CellStore(cache.directory / "cells"), batch=True
+            ),
+        )
         assert generate_report(result) == _golden_report()
 
 

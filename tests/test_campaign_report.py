@@ -10,9 +10,9 @@ from repro.run.campaign import Campaign, CampaignResult, run_campaign
 
 
 @pytest.fixture(scope="module")
-def small_campaign_result():
+def small_campaign_result(paper_campaign):
     """A reduced campaign covering every experiment id once."""
-    return run_campaign(Campaign(reps_fast=1, reps_io=1))
+    return paper_campaign
 
 
 class TestCampaignSpec:

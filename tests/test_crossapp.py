@@ -9,7 +9,6 @@ from repro import (
     FfmpegWorkload,
     WordPressWorkload,
     r830_host,
-    run_platform_sweep,
 )
 from repro.analysis.crossapp import CrossApplicationAnalysis
 from repro.analysis.overhead import OverheadClass
@@ -23,19 +22,19 @@ _BIG = [
 
 
 @pytest.fixture(scope="module")
-def analysis():
+def analysis(paper_sweep):
     workloads = {
-        "FFmpeg": (FfmpegWorkload(), instance_types_upto(16)),
-        "WordPress": (WordPressWorkload(), _BIG),
-        "Cassandra": (CassandraWorkload(), _BIG),
+        "FFmpeg": ("fig3", FfmpegWorkload(), instance_types_upto(16)),
+        "WordPress": ("fig5", WordPressWorkload(), _BIG),
+        "Cassandra": ("fig6", CassandraWorkload(), _BIG),
     }
     sweeps = {
-        name: run_platform_sweep(wl, insts, reps=1)
-        for name, (wl, insts) in workloads.items()
+        name: paper_sweep(fig, wl, insts)
+        for name, (fig, wl, insts) in workloads.items()
     }
     io = {
         name: wl.profile().io_intensity
-        for name, (wl, _) in workloads.items()
+        for name, (_, wl, _) in workloads.items()
     }
     return CrossApplicationAnalysis(sweeps, io, r830_host())
 

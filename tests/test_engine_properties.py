@@ -249,12 +249,13 @@ class TestExecutorDeterminism:
     def test_identical_across_job_counts(self, seed, jobs):
         import json
 
-        from repro import run_experiment
+        from repro import ParallelRunner, run_experiment
 
         spec = _tiny_sweep_spec(seed)
         serial = json.dumps(run_experiment(spec).to_dict(), sort_keys=True)
         pooled = json.dumps(
-            run_experiment(spec, jobs=jobs).to_dict(), sort_keys=True
+            run_experiment(spec, runner=ParallelRunner(jobs)).to_dict(),
+            sort_keys=True,
         )
         assert pooled == serial
 

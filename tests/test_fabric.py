@@ -53,7 +53,7 @@ from repro.hostmodel.topology import HostTopology, small_host
 from repro.obs.journal import read_journal
 from repro.run.calibration import Calibration
 from repro.run.campaign import run_campaign
-from repro.run.parallel import execute_cell
+from repro.run.parallel import ParallelRunner, execute_cell
 
 
 def _camp() -> Campaign:
@@ -590,7 +590,9 @@ class TestAdaptiveReps:
         policy = AdaptiveRepsPolicy(base_reps=3, target_rel_ci=0.004)
         jl = JsonlJournal(tmp_path / "run.jsonl")
         try:
-            run_campaign(camp, reps_policy=policy, journal=jl)
+            run_campaign(
+                camp, reps_policy=policy, runner=ParallelRunner(journal=jl)
+            )
         finally:
             jl.close()
         events = read_journal(tmp_path / "run.jsonl", strict=True)

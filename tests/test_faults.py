@@ -50,6 +50,13 @@ def _camp() -> Campaign:
     return Campaign(reps_fast=1, include=("fig3",))
 
 
+def _resume_runner(cache: SweepCache, **kwargs) -> ParallelRunner:
+    """A runner checkpointing into the conventional ``<cache>/cells``."""
+    return ParallelRunner(
+        checkpoint=CellStore(cache.directory / "cells"), **kwargs
+    )
+
+
 @pytest.fixture(scope="module")
 def golden_report() -> str:
     """The fault-free fig3 campaign report every chaos run must match."""
@@ -327,7 +334,9 @@ class TestSeededChaosCampaigns:
         jl = JsonlJournal(tmp_path / "run.jsonl")
         try:
             run_campaign(
-                _camp(), cache=cache, journal=jl, resume=True, faults=inj
+                _camp(),
+                cache=cache,
+                runner=_resume_runner(cache, journal=jl, faults=inj),
             )
         except (InjectedFault, ParallelExecutionError):
             pass  # the scheduled crash
@@ -336,7 +345,7 @@ class TestSeededChaosCampaigns:
         jl2 = JsonlJournal(tmp_path / "run.jsonl", append=True)
         try:
             result = run_campaign(
-                _camp(), cache=cache, journal=jl2, resume=True
+                _camp(), cache=cache, runner=_resume_runner(cache, journal=jl2)
             )
         finally:
             jl2.close()
@@ -366,7 +375,9 @@ class TestSeededChaosCampaigns:
         jl = JsonlJournal(tmp_path / "run.jsonl")
         try:
             run_campaign(
-                _camp(), cache=cache, journal=jl, resume=True, faults=inj
+                _camp(),
+                cache=cache,
+                runner=_resume_runner(cache, journal=jl, faults=inj),
             )
         except (InjectedFault, ParallelExecutionError):
             pass
@@ -380,7 +391,9 @@ class TestSeededChaosCampaigns:
         inj = FaultInjector(
             FaultPlan(specs=(FaultSpec(site="cache.corrupt", at=1),))
         )
-        run_campaign(_camp(), cache=cache, resume=True, faults=inj)
+        run_campaign(
+            _camp(), cache=cache, runner=_resume_runner(cache, faults=inj)
+        )
         assert inj.fired_sites() == {"cache.corrupt"}
         # the campaign completed despite the torn entry; wipe the sweep
         # cache so the resume run must go through the cell checkpoints,
@@ -388,17 +401,15 @@ class TestSeededChaosCampaigns:
         cache.clear()
         jl = JsonlJournal(tmp_path / "run.jsonl")
         try:
-            result = run_campaign(_camp(), cache=cache, journal=jl, resume=True)
+            result = run_campaign(
+                _camp(), cache=cache, runner=_resume_runner(cache, journal=jl)
+            )
         finally:
             jl.close()
         assert generate_report(result) == golden_report
         kinds = [e.kind for e in read_journal(tmp_path / "run.jsonl")]
         assert "checkpoint-corrupt" in kinds
         assert "cell-resumed" in kinds
-
-    def test_resume_without_store_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_campaign(_camp(), resume=True)
 
 
 class TestZeroCostWhenOff:
@@ -407,7 +418,9 @@ class TestZeroCostWhenOff:
         cache = SweepCache(tmp_path / "cache")
         store = CellStore(tmp_path / "cache" / "cells")
         result = run_campaign(
-            _camp(), cache=cache, checkpoint=store, faults=FaultInjector(None)
+            _camp(),
+            cache=cache,
+            runner=ParallelRunner(checkpoint=store, faults=FaultInjector(None)),
         )
         assert generate_report(result) == golden_report
         assert len(store) > 0  # write-through checkpoints really happened
@@ -417,11 +430,13 @@ class TestZeroCostWhenOff:
         cache = SweepCache(tmp_path / "cache")
         inj = FaultInjector(FaultPlan.random(1, abort=True))
         try:
-            run_campaign(_camp(), cache=cache, resume=True, faults=inj)
+            run_campaign(
+                _camp(), cache=cache, runner=_resume_runner(cache, faults=inj)
+            )
         except (InjectedFault, ParallelExecutionError):
             pass
         for jobs in (1, 2):
             result = run_campaign(
-                _camp(), cache=cache, resume=True, jobs=jobs
+                _camp(), cache=cache, runner=_resume_runner(cache, jobs=jobs)
             )
             assert generate_report(result) == golden_report

@@ -223,7 +223,7 @@ class TestJournalFromRuns:
     def test_serial_run_emits_cell_lifecycle(self):
         jl = MemoryJournal()
         spec = tiny_spec()
-        run_experiment(spec, journal=jl)
+        run_experiment(spec, runner=ParallelRunner(journal=jl))
         n = len(cell_tasks(spec)[0])
         assert jl.count("sweep-started") == 1
         assert jl.count("sweep-finished") == 1
@@ -238,7 +238,9 @@ class TestJournalFromRuns:
     def test_journal_does_not_change_results(self):
         spec = tiny_spec(seed=7)
         plain = run_experiment(spec)
-        journaled = run_experiment(spec, journal=MemoryJournal())
+        journaled = run_experiment(
+            spec, runner=ParallelRunner(journal=MemoryJournal())
+        )
         assert json.dumps(journaled.to_dict(), sort_keys=True) == json.dumps(
             plain.to_dict(), sort_keys=True
         )
@@ -274,9 +276,11 @@ class TestJournalFromRuns:
             )
 
         serial = MemoryJournal()
-        run_experiment(spec, journal=serial)
+        run_experiment(spec, runner=ParallelRunner(journal=serial))
         parallel = MemoryJournal()
-        run_experiment(spec, jobs=jobs, journal=parallel, batch=batch)
+        run_experiment(
+            spec, runner=ParallelRunner(jobs, journal=parallel, batch=batch)
+        )
         if batch:
             assert parallel.count("batch-partition") == 1
         else:
@@ -305,7 +309,8 @@ class TestJournalFromRuns:
 
         jl = MemoryJournal()
         run_platform_sweep(
-            wl, insts, reps=1, seed=3, cache=cache, journal=jl
+            wl, insts, reps=1, seed=3, cache=cache,
+            runner=ParallelRunner(journal=jl),
         )
         probes = [e for e in jl.events if e.kind == "sweep-cache-probe"]
         assert len(probes) == 1 and probes[0].cached is True
@@ -318,7 +323,7 @@ class TestJournalFromRuns:
 class TestSummary:
     def _journal(self):
         jl = MemoryJournal()
-        run_experiment(tiny_spec(), journal=jl)
+        run_experiment(tiny_spec(), runner=ParallelRunner(journal=jl))
         return jl
 
     def test_summarize_round_trip(self):
@@ -375,7 +380,7 @@ class TestSummary:
 
     def test_dist_events_fold_into_percentiles(self):
         jl = MemoryJournal()
-        run_experiment(tiny_spec(), journal=jl)
+        run_experiment(tiny_spec(), runner=ParallelRunner(journal=jl))
         summary = summarize_journal(jl.events)
         assert sorted(summary.dists) == [
             "Pinned CN", "Vanilla BM", "Vanilla CN",
@@ -556,7 +561,7 @@ class TestMetricsRegistry:
 class TestExport:
     def _events(self):
         jl = MemoryJournal()
-        run_experiment(tiny_spec(), journal=jl)
+        run_experiment(tiny_spec(), runner=ParallelRunner(journal=jl))
         return jl.events
 
     def test_chrome_trace_is_valid(self):

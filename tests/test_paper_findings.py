@@ -41,27 +41,27 @@ BIG_INSTANCES = [
 
 
 @pytest.fixture(scope="module")
-def fig3():
+def fig3(paper_sweep):
     """Fig. 3: FFmpeg across Large..4xLarge, all seven platforms."""
-    return run_platform_sweep(FfmpegWorkload(), FFMPEG_INSTANCES, reps=1)
+    return paper_sweep("fig3", FfmpegWorkload(), FFMPEG_INSTANCES)
 
 
 @pytest.fixture(scope="module")
-def fig4():
+def fig4(paper_sweep):
     """Fig. 4: MPI Search across xLarge..16xLarge."""
-    return run_platform_sweep(MpiSearchWorkload(), BIG_INSTANCES, reps=1)
+    return paper_sweep("fig4", MpiSearchWorkload(), BIG_INSTANCES)
 
 
 @pytest.fixture(scope="module")
-def fig5():
+def fig5(paper_sweep):
     """Fig. 5: WordPress across xLarge..16xLarge."""
-    return run_platform_sweep(WordPressWorkload(), BIG_INSTANCES, reps=1)
+    return paper_sweep("fig5", WordPressWorkload(), BIG_INSTANCES)
 
 
 @pytest.fixture(scope="module")
-def fig6():
+def fig6(paper_sweep):
     """Fig. 6: Cassandra across xLarge..16xLarge."""
-    return run_platform_sweep(CassandraWorkload(), BIG_INSTANCES, reps=1)
+    return paper_sweep("fig6", CassandraWorkload(), BIG_INSTANCES)
 
 
 class TestFig3Ffmpeg:

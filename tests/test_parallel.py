@@ -118,20 +118,22 @@ class TestSerialParallelEquivalence:
         spec = tiny_spec(seed=seed)
         serial = run_experiment(spec)
         for jobs in (2, 4):
-            parallel = run_experiment(spec, jobs=jobs)
+            parallel = run_experiment(spec, runner=ParallelRunner(jobs))
             assert sweep_json(parallel) == sweep_json(serial)
 
     def test_platform_sweep_jobs_param(self):
         wl = FfmpegWorkload(video_seconds=0.5, n_sync_chunks=4)
         insts = [instance_type("Large")]
         serial = run_platform_sweep(wl, insts, reps=2, seed=9)
-        parallel = run_platform_sweep(wl, insts, reps=2, seed=9, jobs=3)
+        parallel = run_platform_sweep(
+            wl, insts, reps=2, seed=9, runner=ParallelRunner(3)
+        )
         assert sweep_json(parallel) == sweep_json(serial)
 
     def test_cell_order_matches_serial(self):
         spec = tiny_spec()
         serial = run_experiment(spec)
-        parallel = run_experiment(spec, jobs=2)
+        parallel = run_experiment(spec, runner=ParallelRunner(2))
         assert list(parallel.cells) == list(serial.cells)
         assert parallel.platform_order == serial.platform_order
         assert parallel.instance_order == serial.instance_order
@@ -139,18 +141,20 @@ class TestSerialParallelEquivalence:
     def test_campaign_identical(self):
         campaign = Campaign(reps_fast=1, reps_io=1, include=("fig7", "fig8"))
         serial = run_campaign(campaign)
-        parallel = run_campaign(campaign, jobs=4)
+        parallel = run_campaign(campaign, runner=ParallelRunner(4))
         assert parallel.fig7 == serial.fig7
         assert parallel.fig8 == serial.fig8
 
     def test_campaign_sweep_byte_identical_after_json_roundtrip(self, tmp_path):
-        """Acceptance: run_campaign(..., jobs=4) sweeps byte-identical to
+        """Acceptance: a 4-job campaign's sweeps are byte-identical to
         the serial run at the same seed, after a JSON save/load cycle."""
         from repro.run.results import SweepResult
 
         campaign = Campaign(reps_fast=1, reps_io=1, include=("fig3",))
         serial = run_campaign(campaign).sweep("fig3")
-        parallel = run_campaign(campaign, jobs=4).sweep("fig3")
+        parallel = run_campaign(
+            campaign, runner=ParallelRunner(4)
+        ).sweep("fig3")
         a, b = tmp_path / "serial.json", tmp_path / "parallel.json"
         serial.save(a)
         parallel.save(b)
@@ -408,11 +412,11 @@ class TestCacheIntegration:
         wl = SyntheticWorkload(threads_per_process=2, phases=2)
         insts = [instance_type("Large")]
         sweep = run_platform_sweep(
-            wl, insts, reps=1, seed=3, jobs=2, cache=cache
+            wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache
         )
         assert len(list(tmp_path.glob("sweep-*.json"))) == 1
         cached = run_platform_sweep(
-            wl, insts, reps=1, seed=3, jobs=2, cache=cache
+            wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache
         )
         assert sweep_json(cached) == sweep_json(sweep)
 
@@ -446,5 +450,7 @@ class TestCacheIntegration:
         wl = SyntheticWorkload(threads_per_process=2, phases=2)
         insts = [instance_type("Large")]
         run_platform_sweep(wl, insts, reps=1, seed=3, cache=cache)
-        run_platform_sweep(wl, insts, reps=1, seed=3, jobs=2, cache=cache)
+        run_platform_sweep(
+            wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache
+        )
         assert len(list(tmp_path.glob("sweep-*.json"))) == 1

@@ -118,3 +118,24 @@ class TestTopLevelApi:
         assert all(
             not n.startswith("_") or n in allowed for n in repro.__all__
         )
+
+
+class TestRunEntryPoints:
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.run.campaign", "run_campaign"),
+            ("repro.run.experiment", "run_experiment"),
+            ("repro.run.experiment", "run_platform_sweep"),
+            ("repro.run.adaptive", "run_adaptive_sweep"),
+        ],
+    )
+    def test_execution_options_live_on_the_runner(self, module, name):
+        fn = getattr(importlib.import_module(module), name)
+        params = set(inspect.signature(fn).parameters)
+        assert "runner" in params
+        dropped = {
+            "jobs", "journal", "batch", "checkpoint", "resume", "faults",
+            "trace",
+        }
+        assert not params & dropped

@@ -235,3 +235,48 @@ class TestResultContainers:
             platform_order=["Vanilla CN"],
         )
         assert sweep.means("Vanilla CN")[0] == pytest.approx(2.0)
+
+
+class TestRunnerReuse:
+    def test_campaigns_leave_the_runner_as_built(self, tmp_path):
+        """A runner reused across campaigns keeps every option it was
+        built with, and each result matches a fresh runner's."""
+        from repro.analysis.report import generate_report
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.obs import (
+            JsonlJournal, SpanTracer, TraceContext, mint_trace_id, read_journal,
+        )
+        from repro.run.campaign import Campaign, run_campaign
+        from repro.run.parallel import ParallelRunner
+        from repro.run.persistence import CellStore
+
+        camp = Campaign(reps_fast=1, include=("fig3",))
+        journal = JsonlJournal(tmp_path / "run.jsonl")
+        store = CellStore(tmp_path / "cells")
+        tracer = SpanTracer(journal, TraceContext(mint_trace_id("reuse")))
+        faults = FaultInjector(FaultPlan())
+        runner = ParallelRunner(
+            batch=True, checkpoint=store, journal=journal, tracer=tracer,
+            faults=faults,
+        )
+        fresh = generate_report(run_campaign(camp, runner=ParallelRunner()))
+        reports = [
+            generate_report(run_campaign(camp, runner=runner))
+            for _ in range(2)
+        ]
+        assert reports == [fresh, fresh]
+        assert runner.batch is True
+        assert runner.checkpoint is store
+        assert runner.journal is journal
+        assert runner.tracer is tracer
+        assert runner.faults is faults
+        assert not store.faults.enabled and not journal.faults.enabled
+        tracer.close()
+        journal.close()
+        events = read_journal(tmp_path / "run.jsonl", strict=True)
+        assert sum(e.kind == "campaign-finished" for e in events) == 2
+        sweeps = [
+            e for e in events
+            if e.kind == "span" and e.extra["span_kind"] == "sweep"
+        ]
+        assert len(sweeps) == 2

@@ -42,6 +42,7 @@ from repro.obs import (
 from repro.platforms.base import PlatformKind
 from repro.rng import RngFactory
 from repro.run.experiment import ExperimentSpec, run_experiment
+from repro.run.parallel import ParallelRunner
 from repro.sched.affinity import ProvisioningMode
 from repro.trace.schedprof import SchedProfile, SchedProfiler
 from repro.viz.occupancy import render_occupancy_svg
@@ -213,9 +214,11 @@ class TestSerialParallelAgreement:
         def ledgers(jobs):
             journal = MemoryJournal()
             if jobs == 1:
-                run_experiment(spec, journal=journal)
+                run_experiment(spec, runner=ParallelRunner(journal=journal))
             else:
-                run_experiment(spec, jobs=jobs, journal=journal)
+                run_experiment(
+                    spec, runner=ParallelRunner(jobs, journal=journal)
+                )
             return [
                 (e.label, e.extra)
                 for e in journal.events

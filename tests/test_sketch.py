@@ -252,9 +252,12 @@ class TestEndToEndDeterminism:
 
         from repro.obs import MemoryJournal
         from repro.run.experiment import run_experiment
+        from repro.run.parallel import ParallelRunner
 
         jl = MemoryJournal()
-        sweep = run_experiment(self._spec(), journal=jl, **kwargs)
+        sweep = run_experiment(
+            self._spec(), runner=ParallelRunner(journal=jl, **kwargs)
+        )
         payloads = {
             (e.label, e.extra["platform"]): json.dumps(
                 e.extra["streams"], sort_keys=True

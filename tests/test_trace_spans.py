@@ -57,8 +57,10 @@ from repro.obs import (
     summarize_journal,
     validate_chrome_trace,
 )
+from repro.obs.journal import NULL_JOURNAL
 from repro.obs.trace_spans import active_tracer
 from repro.run.campaign import run_campaign
+from repro.run.parallel import ParallelRunner
 
 
 def _camp() -> Campaign:
@@ -339,12 +341,18 @@ class TestCampaignTracing:
     def serial(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("serial")
         journal = MemoryJournal()
-        result = run_campaign(
-            _camp(),
-            journal=journal,
-            checkpoint=CellStore(tmp / "cells"),
-            trace=_ctx("campaign"),
-        )
+        tracer = SpanTracer(journal, _ctx("campaign"))
+        try:
+            result = run_campaign(
+                _camp(),
+                runner=ParallelRunner(
+                    journal=journal,
+                    checkpoint=CellStore(tmp / "cells"),
+                    tracer=tracer,
+                ),
+            )
+        finally:
+            tracer.close()
         return result, spans_from_journal(journal.events)
 
     def test_traced_report_is_byte_identical(self, serial):
@@ -373,12 +381,13 @@ class TestCampaignTracing:
 
     def test_untraced_journal_has_no_span_events(self, tmp_path):
         journal = MemoryJournal()
-        run_campaign(_camp(), journal=journal)
+        run_campaign(_camp(), runner=ParallelRunner(journal=journal))
         assert not [e for e in journal.events if e.kind == "span"]
 
     def test_trace_without_journal_is_noop(self):
         # tracing needs a sink; with no journal the campaign stays clean
-        result = run_campaign(_camp(), trace=_ctx("campaign"))
+        tracer = SpanTracer(NULL_JOURNAL, _ctx("campaign"))
+        result = run_campaign(_camp(), runner=ParallelRunner(tracer=tracer))
         assert generate_report(result) == generate_report(run_campaign(_camp()))
 
 
