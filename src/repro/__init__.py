@@ -71,7 +71,7 @@ from repro.obs import (
 )
 from repro.faults import FAULT_SITES, FaultInjector, FaultPlan, FaultSpec
 from repro.run.parallel import CachedCell, ParallelRunner, default_jobs
-from repro.run.persistence import CellStore, SweepCache
+from repro.run.persistence import CellStore
 from repro.run.results import ExperimentResult, RunResult, SweepResult
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads import (
@@ -124,7 +124,6 @@ __all__ = [
     "ParallelRunner",
     "CachedCell",
     "default_jobs",
-    "SweepCache",
     "CellStore",
     # fault injection / resume
     "FAULT_SITES",

@@ -86,7 +86,7 @@ from repro.run.campaign import (
     run_campaign,
 )
 from repro.run.parallel import ParallelRunner, default_jobs
-from repro.run.persistence import CellStore, SweepCache
+from repro.run.persistence import CellStore
 from repro.run.colocation import Tenant, run_colocated
 from repro.run.execution import run_once
 from repro.run.experiment import run_platform_sweep
@@ -349,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to these experiments",
     )
     rep_p.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="content-addressed sweep cache directory (probe + write-back)",
-    )
-    rep_p.add_argument(
         "--journal",
         metavar="PATH",
         help="stream campaign lifecycle events to a JSONL journal "
@@ -363,15 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="DIR",
         help="per-cell checkpoint store: completed cells are persisted "
-        "as they finish, enabling crash-safe --resume "
-        "(default with --cache: <cache>/cells)",
+        "as they finish, enabling crash-safe --resume",
     )
     rep_p.add_argument(
         "--resume",
         action="store_true",
-        help="resume a crashed campaign: replay verified checkpoints and "
-        "cache entries, re-run only missing/corrupt cells, append to "
-        "--journal; the report is byte-identical to an uninterrupted run",
+        help="resume a crashed campaign from --checkpoint: replay verified "
+        "cells, re-run only missing/corrupt ones, append to --journal; "
+        "the report is byte-identical to an uninterrupted run",
     )
     rep_p.add_argument(
         "--fault-plan",
@@ -475,18 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also render the throughput-latency curves as an SVG",
     )
     lc_p.add_argument(
-        "--cache", metavar="DIR",
-        help="content-addressed sweep cache directory (probe + write-back)",
-    )
-    lc_p.add_argument(
         "--checkpoint", metavar="DIR",
-        help="per-cell checkpoint store enabling crash-safe --resume "
-        "(default with --cache: <cache>/cells)",
+        help="per-cell checkpoint store enabling crash-safe --resume",
     )
     lc_p.add_argument(
         "--resume",
         action="store_true",
-        help="resume a crashed sweep from verified checkpoints; the "
+        help="resume a crashed sweep from --checkpoint; the "
         "outputs are byte-identical to an uninterrupted run",
     )
     lc_p.add_argument(
@@ -1210,22 +1199,16 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def _campaign_runner(
-    args: argparse.Namespace,
-    cache: SweepCache | None,
-    trace_key: str | None = None,
-):
+def _campaign_runner(args: argparse.Namespace, trace_key: str | None = None):
     """One :class:`ParallelRunner` built from a campaign command's flags.
 
     Closes the tracer, then the journal, on the way out; after a clean
     run, prints which faults fired.
     """
     jobs = _jobs(args)
+    if args.resume and not args.checkpoint:
+        raise ReproError("--resume needs --checkpoint DIR")
     checkpoint = CellStore(args.checkpoint) if args.checkpoint else None
-    if args.resume and checkpoint is None:
-        if cache is None:
-            raise ReproError("--resume needs --checkpoint and/or --cache")
-        checkpoint = CellStore(cache.directory / "cells")
     plan = FaultPlan.load(args.fault_plan) if args.fault_plan else None
     if trace_key is not None and not args.journal:
         raise ReproError(
@@ -1265,7 +1248,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         seed=args.seed,
         include=include,
     )
-    cache = SweepCache(args.cache) if args.cache else None
     reps_policy = None
     if args.adaptive_reps:
         from repro.analysis.adaptive import AdaptiveRepsPolicy
@@ -1275,21 +1257,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             target_rel_ci=args.adaptive_target,
             round_reps=args.adaptive_round,
         )
-        if cache is not None:
-            raise ReproError(
-                "--adaptive-reps bypasses the whole-sweep cache; "
-                "drop --cache (per-cell --checkpoint still works)"
-            )
     trace_key = None
     if args.trace:
         # Deterministic: the same campaign traced twice lands in the
         # same trace, so resumed runs extend rather than fork it.
         trace_key = f"report:{campaign.seed}:{','.join(campaign.include)}"
-    with _campaign_runner(args, cache, trace_key) as runner:
+    with _campaign_runner(args, trace_key) as runner:
         print(f"running campaign {campaign.include} with {runner.jobs} job(s) ...")
-        result = run_campaign(
-            campaign, runner=runner, cache=cache, reps_policy=reps_policy
-        )
+        result = run_campaign(campaign, runner=runner, reps_policy=reps_policy)
         text = generate_report(result)
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -1322,15 +1297,14 @@ def _cmd_loadcurve(args: argparse.Namespace) -> int:
     campaign = Campaign(
         seed=args.seed, include=("loadcurve",), loadcurve=config
     )
-    cache = SweepCache(args.cache) if args.cache else None
-    with _campaign_runner(args, cache) as runner:
+    with _campaign_runner(args) as runner:
         print(
             f"sweeping {config.workload} over "
             f"{','.join(f'{r:g}' for r in config.rates)} req/s "
             f"({config.arrivals} arrivals, {config.instance}, "
             f"{runner.jobs} job(s)) ..."
         )
-        result = run_campaign(campaign, runner=runner, cache=cache)
+        result = run_campaign(campaign, runner=runner)
         text = generate_report(result, title="Open-loop saturation sweep")
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -1413,7 +1387,7 @@ def _cmd_obs_dist(args: argparse.Namespace, events) -> int:
     if not summary.dists:
         raise ReproError(
             "the journal holds no cell-dist events: it records no executed "
-            "cells (every cell was replayed from the cache or checkpoints)"
+            "cells (every cell was replayed from checkpoints)"
         )
     try:
         percentiles = tuple(
@@ -1770,6 +1744,26 @@ def _fabric_merge(
     return 0
 
 
+def _abort_hint(args: argparse.Namespace) -> str:
+    """Where an aborted command's completed cells are, if anywhere."""
+    if args.command == "fabric":
+        return (
+            "completed cells persist in the queue's checkpoint store — "
+            "re-run the workers to continue"
+        )
+    if getattr(args, "checkpoint", None):
+        return (
+            f"completed cells persist in {args.checkpoint} — re-run with "
+            "--resume to continue"
+        )
+    if hasattr(args, "checkpoint"):
+        return (
+            "no completed cells were kept — pass --checkpoint DIR to keep "
+            "them across a crash"
+        )
+    return "no completed cells were kept"
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1809,14 +1803,9 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command!r}")
     except (ParallelExecutionError, InjectedFault) as exc:
         # a crashed/aborted campaign is distinguishable from a usage
-        # error: completed cells are checkpointed, so the operator can
-        # re-run with --resume instead of starting over.
+        # error; the hint says whether completed cells were kept.
         print(f"error: {exc}", file=sys.stderr)
-        print(
-            "campaign aborted; completed cells persist in the checkpoint/"
-            "cache stores — re-run with --resume to continue",
-            file=sys.stderr,
-        )
+        print(f"campaign aborted; {_abort_hint(args)}", file=sys.stderr)
         return 3
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,7 +197,7 @@ class LeaseLostError(ReproError, RuntimeError):
 class PersistenceConflictError(SimulationError):
     """Two writers produced *different* bytes for the same fingerprint.
 
-    Content-addressed entries (sweep cache, cell checkpoints) are pure
+    Content-addressed entries (cell checkpoints) are pure
     functions of their key, so two workers writing the same key must
     produce byte-identical payloads; a divergence means determinism is
     broken somewhere upstream (seed drift, version skew between

@@ -5,8 +5,7 @@ with the mutable state parent-side sites need (per-site occurrence
 counters, a record of fired faults, an optional journal).  It is
 threaded — always behind an ``enabled`` check, so the off path costs one
 attribute read — through :class:`~repro.run.parallel.ParallelRunner`,
-:class:`~repro.run.persistence.SweepCache` /
-:class:`~repro.run.persistence.CellStore`, and
+:class:`~repro.run.persistence.CellStore` and
 :class:`~repro.obs.journal.JsonlJournal`, which makes every built-in
 site exercisable without monkeypatching.
 

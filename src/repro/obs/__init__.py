@@ -5,12 +5,12 @@ explain *why* each platform behaves as it does.  This package applies
 the same discipline to the reproduction's own campaigns:
 
 * :mod:`repro.obs.journal` — streaming JSONL record of every cell's
-  lifecycle (queued / started / cache-hit / retried / failed /
+  lifecycle (queued / started / resumed / retried / failed /
   finished), written by the run layer when a journal is attached and a
   strict no-op otherwise;
 * :mod:`repro.obs.events` — the versioned event schema and validator;
 * :mod:`repro.obs.summary` — fold a journal back into the operator's
-  questions (slowest cells, retry counts, cache hit ratio, per-worker
+  questions (slowest cells, retry counts, replayed cells, per-worker
   utilization, critical path);
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
   histograms / quantile summaries with JSON and Prometheus text export;

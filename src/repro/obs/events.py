@@ -37,10 +37,13 @@ EVENT_KINDS: frozenset[str] = frozenset(
         "campaign-started",
         "campaign-finished",
         "sweep-started",
+        # no longer written; kept so older journals still parse strictly
         "sweep-cache-probe",
         "sweep-finished",
         "cell-queued",
         "cell-started",
+        # no longer written (a warm re-run journals cell-resumed); kept
+        # so older journals still parse strictly
         "cell-cache-hit",
         "cell-resumed",
         "cell-retried",
@@ -86,7 +89,7 @@ class JournalEvent:
     duration:
         Span length in seconds for ``*-finished`` / ``*-retried`` events.
     cached:
-        True for cache-resolved subjects (tagged cache-hit cells).
+        True for cells replayed without execution (``cell-resumed``).
     detail:
         Free-form context (exception repr, include list, fingerprint).
     extra:

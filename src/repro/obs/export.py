@@ -66,7 +66,7 @@ def journal_to_chrome(events: list[JournalEvent]) -> dict:
     """Convert a run journal into a Chrome trace-event document.
 
     Cell executions become complete (``"X"``) spans on one track per
-    worker; retries, failures, cache hits, and pool rebuilds become
+    worker; retries, failures, replayed cells, and pool rebuilds become
     instant (``"i"``) markers on the track they belong to.
     """
     t0 = min((e.ts for e in events), default=0.0)
@@ -161,8 +161,8 @@ def journal_to_metrics(events: list[JournalEvent]) -> MetricsRegistry:
         "repro_cells_completed_total", "campaign cells resolved (run or cached)"
     ).value = float(summary.n_cells)
     registry.counter(
-        "repro_cache_hit_cells_total", "cells resolved from the sweep cache"
-    ).value = float(summary.n_cached)
+        "repro_cells_resumed_total", "cells replayed from resume checkpoints"
+    ).value = float(summary.n_resumed)
     registry.counter(
         "repro_cell_retries_total", "cell attempts that failed and were retried"
     ).value = float(summary.retries_total)
@@ -188,7 +188,7 @@ def journal_to_metrics(events: list[JournalEvent]) -> MetricsRegistry:
         "repro_cell_seconds", CELL_SECONDS_BUCKETS, "cell wall time"
     )
     for cell in summary.cells.values():
-        if not cell.cached:
+        if not cell.resumed:
             hist.observe(cell.duration)
     for stream, name, help_text in (
         ("op", "repro_sim_op_response_seconds",

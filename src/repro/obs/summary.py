@@ -50,7 +50,6 @@ class CellRecord:
     worker: str = ""
     attempts: int = 0
     retries: int = 0
-    cached: bool = False
     resumed: bool = False
     failed: bool = False
     sched_events: float = 0.0
@@ -142,30 +141,18 @@ class RunSummary:
 
     @property
     def n_cells(self) -> int:
-        """Distinct cells the journal saw (executed or cache-resolved)."""
+        """Distinct cells the journal saw (executed or replayed)."""
         return len(self.cells)
 
     @property
-    def n_cached(self) -> int:
-        """Cells resolved from the sweep cache."""
-        return sum(1 for c in self.cells.values() if c.cached)
-
-    @property
     def n_resumed(self) -> int:
-        """Cells replayed from resume checkpoints."""
+        """Cells replayed from checkpoints without execution."""
         return sum(1 for c in self.cells.values() if c.resumed)
 
     @property
     def n_executed(self) -> int:
         """Cells that actually ran."""
-        return sum(
-            1 for c in self.cells.values() if not c.cached and not c.resumed
-        )
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Cache-resolved share of all cells (0 when the journal is empty)."""
-        return self.n_cached / self.n_cells if self.cells else 0.0
+        return self.n_cells - self.n_resumed
 
     @property
     def sched_events_total(self) -> float:
@@ -187,9 +174,7 @@ class RunSummary:
 
     def slowest_cells(self, n: int = 5) -> list[CellRecord]:
         """The ``n`` longest-running cells, slowest first."""
-        executed = [
-            c for c in self.cells.values() if not c.cached and not c.resumed
-        ]
+        executed = [c for c in self.cells.values() if not c.resumed]
         return sorted(executed, key=lambda c: -c.duration)[:n]
 
     def dist_percentiles(
@@ -235,13 +220,10 @@ class RunSummary:
 
     def render(self, top: int = 5) -> str:
         """Human-readable summary block for the ``obs summary`` CLI."""
-        resumed = (
-            f", {self.n_resumed} resumed from checkpoints" if self.n_resumed else ""
-        )
         lines = [
             f"cells        : {self.n_cells} "
-            f"({self.n_executed} executed, {self.n_cached} cache hits, "
-            f"hit ratio {self.cache_hit_ratio:.0%}{resumed})",
+            f"({self.n_executed} executed, {self.n_resumed} replayed from "
+            "checkpoints)",
             f"wall clock   : {self.wall_seconds:.3f} s",
             f"retries      : {self.retries_total}"
             + (f"  failures: {self.failures_total}" if self.failures_total else ""),
@@ -371,9 +353,8 @@ def summarize_journal(events: list[JournalEvent]) -> RunSummary:
             rec.ledger_total += float(e.extra.get("total_core_seconds", 0.0))
             for mech, v in e.extra.get("mechanisms", {}).items():
                 rec.mechanisms[mech] = rec.mechanisms.get(mech, 0.0) + float(v)
-        elif e.kind == "cell-cache-hit":
-            cell(e.label).cached = True
-        elif e.kind == "cell-resumed":
+        elif e.kind in ("cell-resumed", "cell-cache-hit"):
+            # cell-cache-hit: the whole-sweep cache replay of older journals
             cell(e.label).resumed = True
         elif e.kind == "fault-injected":
             summary.faults_injected += 1

@@ -21,9 +21,9 @@ the allocation, the per-cell rep counts, and the final
 :class:`~repro.run.results.SweepResult` are a pure function of
 (spec, policy).  Extension tasks are content-fingerprinted like any
 cell task, so a checkpoint store resumes interrupted adaptive sweeps to
-identical bytes.  The sweep cache is *not* consulted: its fingerprint
-does not cover the policy, and a uniform-reps entry must never
-masquerade as an adaptive result (or vice versa).
+identical bytes.  The fingerprint covers each repetition's stream
+recipe, so a checkpoint replays only a cell with exactly the same
+repetitions, whichever sweep wrote it.
 """
 
 from __future__ import annotations

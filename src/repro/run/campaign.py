@@ -35,7 +35,6 @@ from repro.run.experiment import (
     run_platform_sweep,
 )
 from repro.run.parallel import CellTask, ParallelRunner, execute_cell
-from repro.run.persistence import SweepCache
 from repro.run.results import SweepResult
 from repro.workloads.cassandra import CassandraWorkload
 from repro.workloads.ffmpeg import FfmpegWorkload
@@ -339,7 +338,6 @@ def run_campaign(
     campaign: Campaign | None = None,
     *,
     runner: ParallelRunner | None = None,
-    cache: SweepCache | None = None,
     reps_policy: "AdaptiveRepsPolicy | None" = None,
 ) -> CampaignResult:
     """Execute the full evaluation and return everything measured.
@@ -355,16 +353,12 @@ def run_campaign(
         ``batch``, ``tracer``, ``metrics``, ``progress``, ``timeout``
         and ``retries`` — and none of them changes the result: serial,
         pool, batched, resumed and traced runs give byte-identical
-        reports.  A runner with a checkpoint store resumes a crashed
-        campaign (verified cells replay, only missing or corrupt ones
+        reports.  A runner with a checkpoint store persists every cell
+        as it finishes and resumes a crashed or repeated campaign
+        (verified cells replay, only missing or corrupt ones
         re-execute).  Sweep spans open under ``runner.tracer``, which
-        its owner closes.  An enabled ``runner.faults`` is armed on
-        ``cache``, the checkpoint store and the journal for the length
-        of the call.
-    cache:
-        Optional :class:`~repro.run.persistence.SweepCache`; the Figs.
-        3-6 sweeps are probed by content fingerprint before running and
-        written back on completion.
+        its owner closes.  An enabled ``runner.faults`` is armed on the
+        checkpoint store and the journal for the length of the call.
     reps_policy:
         Optional :class:`~repro.analysis.adaptive.AdaptiveRepsPolicy`.
         When given, the Figs. 3-6 sweeps run the CI-width rep
@@ -375,18 +369,17 @@ def run_campaign(
         figure's uniform count (or ``policy.max_reps``).  Allocation
         decisions derive only from seed-deterministic measured values,
         so the result is a pure function of (campaign, policy) —
-        resumable and byte-stable like the uniform path.  Adaptive
-        sweeps bypass the :class:`SweepCache` (its fingerprint does not
-        cover the policy) but still use cell checkpoints; Figs. 7-8 are
-        unaffected (fixed reps by design).
+        resumable and byte-stable like the uniform path, cell
+        checkpoints included; Figs. 7-8 are unaffected (fixed reps by
+        design).
     """
     campaign = campaign or Campaign()
     runner = runner or ParallelRunner()
     faults, jl, tracer = runner.faults, runner.journal, runner.tracer
     # Arm the injector across the campaign's machinery for the duration
     # of this call only: attachments are restored on the way out, so the
-    # same cache/checkpoint/journal objects can be reused for a clean
-    # resume run without stale faults re-firing.
+    # same checkpoint/journal objects can be reused for a clean resume
+    # run without stale faults re-firing.
     armed: list[tuple[object, object]] = []
 
     def arm(obj) -> None:
@@ -394,8 +387,6 @@ def run_campaign(
         obj.faults = faults
 
     if faults.enabled:
-        if cache is not None and not cache.faults.enabled:
-            arm(cache)
         if runner.checkpoint is not None and not runner.checkpoint.faults.enabled:
             arm(runner.checkpoint)
         if jl.enabled:
@@ -438,7 +429,6 @@ def run_campaign(
                     calib=campaign.calib,
                     seed=campaign.seed,
                     runner=runner,
-                    cache=cache,
                 )
 
         if "fig3" in campaign.include:

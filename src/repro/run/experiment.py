@@ -28,7 +28,6 @@ from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.run.parallel import ParallelRunner
-    from repro.run.persistence import SweepCache
 
 __all__ = [
     "ExperimentSpec",
@@ -132,8 +131,8 @@ def platform_sweep_spec(
     """The :class:`ExperimentSpec` of the standard seven-platform sweep.
 
     Exposed separately from :func:`run_platform_sweep` so callers can
-    probe a :class:`~repro.run.persistence.SweepCache` for the exact
-    spec a sweep would run.
+    build the exact spec a sweep would run (its cells, its
+    :func:`~repro.run.persistence.spec_fingerprint`) without running it.
     """
     if not instances:
         raise ConfigurationError("instances must be non-empty")
@@ -160,22 +159,16 @@ def run_platform_sweep(
     calib: Calibration | None = None,
     seed: int = DEFAULT_SEED,
     runner: "ParallelRunner | None" = None,
-    cache: "SweepCache | None" = None,
 ) -> SweepResult:
     """Run the standard seven-platform figure sweep.
 
     Evaluates ``Vanilla/Pinned {VM, VMCN, CN}`` plus ``Vanilla BM`` —
     the exact configuration set of Figs. 3-6 — through ``runner``, which
-    holds every execution option (see :func:`run_experiment`).  With a
-    ``cache`` the sweep is first probed by content fingerprint and only
-    executed (then written back) on a miss — an undecodable (torn-write)
-    entry is treated as a miss, noted in the probe event, and atomically
-    overwritten.  Cache-resolved cells are still counted: they reach the
-    runner's progress callback as tagged cache hits and its journal as
-    ``cell-cache-hit`` events, so ``(done, total)`` stays accurate.
+    holds every execution option (see :func:`run_experiment`).  A runner
+    with a checkpoint store persists every cell as it finishes and
+    replays the verified ones on a re-run, so a warm sweep executes
+    nothing.
     """
-    from repro.run.parallel import ParallelRunner, cell_tasks
-
     spec = platform_sweep_spec(
         workload,
         instances,
@@ -184,30 +177,4 @@ def run_platform_sweep(
         calib=calib,
         seed=seed,
     )
-    runner = runner or ParallelRunner()
-    if cache is None:
-        return run_experiment(spec, runner=runner)
-
-    present = cache.contains(spec)
-    cached = cache.get(spec, on_corrupt="miss")
-    if runner.journal.enabled:
-        detail = cache.path_for(spec).name
-        if present and cached is None:
-            detail += " (corrupt entry ignored; re-running)"
-        runner.journal.record(
-            "sweep-cache-probe",
-            label=workload.name,
-            cached=cached is not None,
-            detail=detail,
-        )
-    if runner.metrics is not None:
-        runner.metrics.counter(
-            "repro_cache_probes_total", "sweep-cache fingerprint probes"
-        ).inc()
-    if cached is not None:
-        tasks, _ = cell_tasks(spec)
-        runner.report_cached(tasks)
-        return cached
-    sweep = run_experiment(spec, runner=runner)
-    cache.put(spec, sweep)
-    return sweep
+    return run_experiment(spec, runner=runner)

@@ -28,11 +28,11 @@ per-task ``timeout`` raises a structured
 :class:`~repro.errors.ParallelExecutionError` — carrying the per-attempt
 failure history — instead of hanging the campaign.  A ``progress``
 callback reports ``(done, total, task)`` after each completed cell,
-including cells resolved from the sweep cache (delivered as tagged
-:class:`CachedCell` payloads via :meth:`ParallelRunner.report_cached`).
+including cells replayed from checkpoints (delivered as
+:class:`CachedCell` payloads).
 
 Telemetry: attach a :class:`~repro.obs.journal.Journal` to stream
-structured lifecycle events (cell queued / started / cache-hit / retried
+structured lifecycle events (cell queued / started / resumed / retried
 / failed / finished, worker identity, durations, pool rebuilds) and a
 :class:`~repro.obs.metrics.MetricsRegistry` to accumulate campaign
 counters.  Both default to off; results never depend on them.
@@ -46,8 +46,8 @@ the inline path), and a :class:`~repro.run.persistence.CellStore`
 checkpoint to make campaigns crash-safe: every completed cell task is
 persisted atomically as it finishes, probed (with fingerprint
 verification) before submission, and replayed instead of re-run —
-delivered to progress/journal as tagged :class:`CachedCell` payloads
-with ``resumed=True``.  Both default to off.
+delivered to progress as :class:`CachedCell` payloads and journaled as
+``cell-resumed``.  Both default to off.
 """
 
 from __future__ import annotations
@@ -145,16 +145,13 @@ class CellTask:
 
 @dataclass(frozen=True)
 class CachedCell:
-    """Progress payload for a cell resolved without execution.
+    """Progress payload for a cell replayed from a checkpoint.
 
-    Tags sweep-cache hits (``cached=True``) and checkpoint replays
-    (``resumed=True``) so progress consumers can tell replayed cells
-    from executed ones while still seeing an accurate ``(done, total)``.
+    Wraps the task so progress consumers can tell replayed cells from
+    executed ones while still seeing an accurate ``(done, total)``.
     """
 
     task: object
-    cached: bool = True
-    resumed: bool = False
 
     @property
     def label(self) -> str:
@@ -405,7 +402,7 @@ class ParallelRunner:
         event, identical across the inline, pool, and batched legs.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` accumulating
-        campaign counters (cells completed, retries, cache hits,
+        campaign counters (cells completed, retries, resumed cells,
         simulator event totals) and the ``op`` / ``cell`` latency
         summaries.
     mp_context:
@@ -485,7 +482,7 @@ class ParallelRunner:
         ``worker`` must be a picklable module-level callable when
         ``jobs > 1``.  With a :attr:`checkpoint` store attached, tasks
         whose checkpoint probe verifies are replayed without execution
-        (reported as ``resumed`` :class:`CachedCell` progress payloads)
+        (reported as :class:`CachedCell` progress payloads)
         and every freshly-executed task is checkpointed as it completes.
         """
         items = list(payloads)
@@ -528,9 +525,7 @@ class ParallelRunner:
 
         for i in resumed:
             tasks.done += 1
-            self._report(
-                tasks.done, len(items), CachedCell(items[i], resumed=True)
-            )
+            self._report(tasks.done, len(items), CachedCell(items[i]))
         if pending:
             for units in self._units(worker, items, pending):
                 self._execute(units, tasks)
@@ -952,31 +947,6 @@ class ParallelRunner:
                       "cell attempts that failed and were retried")
             )
             self.metrics.counter(name, help_text).inc()
-
-    def report_cached(self, tasks: Sequence) -> None:
-        """Deliver cache-resolved cells to progress, journal, and metrics.
-
-        Cells satisfied by the sweep cache never reach the pool, so
-        without this call the progress stream under-reports ``(done,
-        total)``.  Each cell is reported as a tagged :class:`CachedCell`
-        and journaled as ``cell-cache-hit``.
-        """
-        n = len(tasks)
-        for i, task in enumerate(tasks):
-            if self.journal.enabled:
-                self.journal.record(
-                    "cell-cache-hit", label=_label(task, i), cached=True
-                )
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "repro_cells_completed_total",
-                    "campaign cells resolved (run or cached)",
-                ).inc()
-                self.metrics.counter(
-                    "repro_cache_hit_cells_total",
-                    "cells resolved from the sweep cache",
-                ).inc()
-            self._report(i + 1, n, CachedCell(task))
 
     # -- sweep execution ----------------------------------------------------
 

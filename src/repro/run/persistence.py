@@ -1,28 +1,22 @@
-"""Content-addressed persistence: sweep caching and cell checkpoints.
+"""Content-addressed persistence: per-cell result checkpoints.
 
-A full Fig-5 sweep takes half a minute; iterating on analysis code
-should not re-pay it.  :class:`SweepCache` stores
-:class:`~repro.run.results.SweepResult` JSON under a key derived from
-the experiment's *content*: workload identity and parameters, instance
-list, platform grid, host, repetition count, seed, and the calibration
-constants.  Any change to any ingredient changes the key, so a cache
-hit is always a faithful replay.
+:class:`CellStore` is the campaign's one result store: one
+atomically-written JSON file per completed *(platform, instance)* cell,
+keyed by :func:`task_fingerprint` over the cell task's full content —
+workload identity and parameters, platform, instance, host, calibration
+and the stream recipes of every repetition.  Any change to any
+ingredient changes the key, so a hit is always a faithful replay.  The
+runner persists each cell as it finishes, so a campaign killed
+mid-sweep loses at most the cells in flight; on a re-run every verified
+cell replays without execution, and corrupt entries are detected and
+re-run.
 
-:class:`CellStore` is the finer-grained sibling powering crash-safe
-campaign resume: one atomically-written JSON file per completed
-*(platform, instance)* cell, keyed by :func:`task_fingerprint` over the
-cell task's full content (including its repetition stream recipes).  A
-campaign killed mid-sweep loses at most the cells in flight; everything
-completed is reconstructed on ``resume`` after a fingerprint check, and
-corrupt entries are detected and silently re-run.
-
-Every write in this module goes through :func:`atomic_write_json` — a
+Every write in this module goes through :func:`atomic_write_text` — a
 temp file in the target directory followed by :func:`os.replace` — so a
-crash mid-write can never leave a truncated entry that poisons later
-``contains()`` probes.  Both stores carry a
-:class:`~repro.faults.FaultInjector` hook (``disk.full`` before the
-write, ``cache.corrupt`` after it) so chaos tests can exercise exactly
-those torn-write scenarios deterministically.
+crash mid-write can never leave a truncated entry that poisons a later
+probe.  The store carries a :class:`~repro.faults.FaultInjector` hook
+(``disk.full`` before the write, ``cache.corrupt`` after it) so chaos
+tests can exercise exactly those torn-write scenarios deterministically.
 """
 
 from __future__ import annotations
@@ -33,17 +27,14 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Callable
 
-from repro.errors import ConfigurationError, PersistenceConflictError
+from repro.errors import PersistenceConflictError
 from repro.faults import NULL_INJECTOR, FaultInjector
-from repro.run.calibration import Calibration
-from repro.run.experiment import ExperimentSpec, run_experiment
-from repro.run.results import RunResult, SweepResult
+from repro.run.experiment import ExperimentSpec
+from repro.run.results import RunResult
 
 __all__ = [
     "CellStore",
-    "SweepCache",
     "atomic_write_json",
     "atomic_write_text",
     "spec_fingerprint",
@@ -163,171 +154,19 @@ def atomic_write_json(path: Path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2))
 
 
-def _checked_overwrite(
-    path: Path, text: str, *, verify: Callable[[str], bool], what: str
-) -> bool:
-    """Enforce byte-identical last-write-wins on a content-addressed entry.
-
-    Returns True when the write should proceed.  An existing entry that
-    ``verify`` accepts must equal ``text`` byte for byte — same
-    fingerprint, same content is the determinism contract two fabric
-    workers racing on one cell rely on; a divergence raises
-    :class:`~repro.errors.PersistenceConflictError` instead of silently
-    masking the bug.  Byte-identical re-writes are skipped (the entry is
-    already exactly right), and an entry ``verify`` rejects — torn by a
-    crash or a ``cache.corrupt`` fault — is overwritten, preserving the
-    resume semantics.
-    """
-    if not path.exists():
-        return True
-    try:
-        existing = path.read_text()
-    except OSError:
-        return True
-    if not verify(existing):
-        return True  # corrupt entry: re-run results overwrite it
-    if existing == text:
-        return False  # already byte-identical; skip the write
-    raise PersistenceConflictError(
-        f"divergent write for {what} {path.name}: an intact entry with "
-        "the same fingerprint already holds different bytes — two "
-        "writers disagreed on deterministic content (seed drift or "
-        "version skew between workers?)"
-    )
-
-
-class SweepCache:
-    """Directory-backed cache of sweep results.
-
-    Parameters
-    ----------
-    directory:
-        Where the JSON files live (created on first write).
-    faults:
-        Optional :class:`~repro.faults.FaultInjector` arming the
-        ``disk.full`` / ``cache.corrupt`` sites of :meth:`put`; defaults
-        to the no-op injector (zero-cost path).
-    """
-
-    def __init__(
-        self, directory: str | Path, faults: FaultInjector | None = None
-    ) -> None:
-        self.directory = Path(directory)
-        self.faults = faults or NULL_INJECTOR
-
-    def path_for(self, spec: ExperimentSpec) -> Path:
-        """Cache file path for a spec."""
-        return self.directory / f"sweep-{spec_fingerprint(spec)}.json"
-
-    def contains(self, spec: ExperimentSpec) -> bool:
-        """True when a cached entry exists for ``spec`` (probe without load).
-
-        The parallel campaign path probes here before submitting a
-        sweep's cells to the worker pool, so a warm cache costs zero
-        task submissions.
-        """
-        return self.path_for(spec).exists()
-
-    def get(
-        self, spec: ExperimentSpec, *, on_corrupt: str = "raise"
-    ) -> SweepResult | None:
-        """The cached sweep for ``spec``, or None.
-
-        Parameters
-        ----------
-        on_corrupt:
-            ``"raise"`` (default) raises
-            :class:`~repro.errors.ConfigurationError` on an undecodable
-            entry; ``"miss"`` treats it as absent — the resume path uses
-            this so an externally-damaged entry is simply re-run and
-            atomically overwritten.
-        """
-        if on_corrupt not in ("raise", "miss"):
-            raise ConfigurationError(
-                f"on_corrupt must be 'raise' or 'miss', got {on_corrupt!r}"
-            )
-        path = self.path_for(spec)
-        if not path.exists():
-            return None
-        try:
-            return SweepResult.load(path)
-        except (json.JSONDecodeError, KeyError) as exc:
-            if on_corrupt == "miss":
-                return None
-            raise ConfigurationError(
-                f"corrupt cache entry {path}: {exc}"
-            ) from exc
-
-    def put(self, spec: ExperimentSpec, sweep: SweepResult) -> Path:
-        """Store a sweep atomically; returns the written path.
-
-        The entry is written to a writer-unique temp file and moved into
-        place with :func:`os.replace`, so a crash mid-write never leaves
-        a truncated entry behind to poison later :meth:`contains` hits.
-        An intact existing entry under the same fingerprint must be
-        byte-identical (determinism contract — two workers producing the
-        same spec must produce the same bytes); a divergence raises
-        :class:`~repro.errors.PersistenceConflictError`, while a corrupt
-        entry is silently overwritten (resume semantics).
-        """
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(spec)
-        label = f"sweep:{path.name}"
-        if self.faults.enabled:
-            self.faults.maybe_disk_full(label)
-        text = json.dumps(sweep.to_dict(), indent=2)
-
-        def verify(existing: str) -> bool:
-            try:
-                SweepResult.from_dict(json.loads(existing))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                return False
-            return True
-
-        if _checked_overwrite(path, text, verify=verify, what="sweep"):
-            atomic_write_text(path, text)
-        if self.faults.enabled:
-            self.faults.maybe_corrupt(path, label)
-        return path
-
-    def get_or_run(
-        self,
-        spec: ExperimentSpec,
-        runner: Callable[[ExperimentSpec], SweepResult] = run_experiment,
-    ) -> SweepResult:
-        """Return the cached sweep or run (and cache) the experiment."""
-        cached = self.get(spec)
-        if cached is not None:
-            return cached
-        sweep = runner(spec)
-        self.put(spec, sweep)
-        return sweep
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        if not self.directory.exists():
-            return 0
-        entries = list(self.directory.glob("sweep-*.json"))
-        for entry in entries:
-            entry.unlink()
-        return len(entries)
-
-
 class CellStore:
-    """Per-cell campaign checkpoints: the unit of crash-safe resume.
+    """The campaign result store: one checkpoint per completed cell.
 
     One JSON file per completed cell, named by :func:`task_fingerprint`
     and written atomically, holding the cell's serialized
-    :class:`~repro.run.results.RunResult` repetitions.  On resume the
-    runner probes here before submitting each task; a verified hit is
-    replayed without execution, a corrupt or fingerprint-mismatched
-    entry is reported and re-run.  Replayed runs carry no perf counters
-    (counters are never serialized), matching the sweep-cache replay
-    semantics; recorded latency sketches *are* serialized (canonical
-    dict form, sorted streams), so distribution-bearing cells — the
-    open-loop load-sweep cells record unconditionally — replay with
-    their sketches intact.  The campaign report depends only on the
-    serialized fields, so resumed reports are byte-identical.
+    :class:`~repro.run.results.RunResult` repetitions.  The runner
+    probes here before submitting each task; a verified hit is replayed
+    without execution, a corrupt or fingerprint-mismatched entry is
+    reported and re-run.  Replayed runs carry no perf counters
+    (counters are never serialized); recorded latency sketches *are*
+    serialized (canonical dict form, sorted streams), so replayed cells
+    keep their sketches.  The campaign report depends only on the
+    serialized fields, so warm and resumed reports are byte-identical.
 
     Parameters
     ----------
@@ -352,6 +191,18 @@ class CellStore:
         """Checkpoint file path for a key."""
         return self.directory / f"cell-{key}.json"
 
+    def _verified(self, key: str, text: str) -> list[RunResult] | None:
+        """The runs of an entry's text, or None unless it is intact: it
+        must decode, carry ``key`` as its fingerprint and hold runs."""
+        try:
+            payload = json.loads(text)
+            if payload["fingerprint"] != key:
+                return None
+            runs = [RunResult.from_dict(r) for r in payload["runs"]]
+        except (KeyError, TypeError, ValueError):
+            return None
+        return runs or None
+
     def load(self, key: str) -> tuple[list[RunResult] | None, str]:
         """Probe one checkpoint: ``(runs, state)``.
 
@@ -362,26 +213,21 @@ class CellStore:
         path = self.path_for(key)
         if not path.exists():
             return None, "miss"
-        try:
-            payload = json.loads(path.read_text())
-            if payload["fingerprint"] != key:
-                return None, "corrupt"
-            runs = [RunResult.from_dict(r) for r in payload["runs"]]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            return None, "corrupt"
-        if not runs:
-            return None, "corrupt"
-        return runs, "hit"
+        runs = self._verified(key, path.read_text())
+        return (runs, "hit") if runs is not None else (None, "corrupt")
 
     def put(self, key: str, runs: list[RunResult], *, label: str = "") -> Path:
         """Checkpoint one completed cell atomically; returns the path.
 
-        Two workers completing the same cell (a reclaimed fabric shard
-        replayed after a lease steal) write the same key: an intact
-        existing entry must be byte-identical — a divergence raises
-        :class:`~repro.errors.PersistenceConflictError` — while a
-        corrupt or fingerprint-mismatched entry is overwritten exactly
-        as the resume path expects.
+        Same fingerprint, same content is the determinism contract: two
+        workers completing the same cell (a reclaimed fabric shard
+        replayed after a lease steal) write the same key, so an intact
+        existing entry must be byte-identical.  A byte-identical
+        re-write is skipped, a divergence raises
+        :class:`~repro.errors.PersistenceConflictError` instead of
+        silently masking the bug, and an entry that fails verification —
+        torn by a crash or a ``cache.corrupt`` fault — is overwritten,
+        exactly as the resume path expects.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
@@ -396,19 +242,19 @@ class CellStore:
             },
             indent=2,
         )
-
-        def verify(existing: str) -> bool:
-            try:
-                payload = json.loads(existing)
-                if payload["fingerprint"] != key:
-                    return False
-                parsed = [RunResult.from_dict(r) for r in payload["runs"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                return False
-            return bool(parsed)
-
-        if _checked_overwrite(path, text, verify=verify, what="cell"):
+        try:
+            existing = path.read_text() if path.exists() else None
+        except OSError:
+            existing = None
+        if existing is None or self._verified(key, existing) is None:
             atomic_write_text(path, text)
+        elif existing != text:
+            raise PersistenceConflictError(
+                f"divergent write for cell {path.name}: an intact entry "
+                "with the same fingerprint already holds different bytes "
+                "— two writers disagreed on deterministic content (seed "
+                "drift or version skew between workers?)"
+            )
         if self.faults.enabled:
             self.faults.maybe_corrupt(path, site_label)
         return path

@@ -41,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Campaign, SweepCache, SyntheticWorkload, instance_type, run_campaign
+from repro import Campaign, SyntheticWorkload, instance_type, run_campaign
 from repro.analysis.report import generate_report
 from repro.engine.batch import (
     BatchSimulator,
@@ -210,26 +210,17 @@ class TestBatchedResume:
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_batched_resume_matches_scalar_golden(self, seed, tmp_path):
-        cache = SweepCache(tmp_path / "cache")
+        store = CellStore(tmp_path / "cells")
         inj = FaultInjector(FaultPlan.random(seed, abort=True))
         try:
             run_campaign(
                 _camp(),
-                cache=cache,
-                runner=ParallelRunner(
-                    checkpoint=CellStore(cache.directory / "cells"),
-                    faults=inj,
-                    batch=True,
-                ),
+                runner=ParallelRunner(checkpoint=store, faults=inj, batch=True),
             )
         except (InjectedFault, ParallelExecutionError):
             pass  # the scheduled crash
         result = run_campaign(
-            _camp(),
-            cache=cache,
-            runner=ParallelRunner(
-                checkpoint=CellStore(cache.directory / "cells"), batch=True
-            ),
+            _camp(), runner=ParallelRunner(checkpoint=store, batch=True)
         )
         assert generate_report(result) == _golden_report()
 

@@ -407,12 +407,12 @@ class TestCommands:
         assert svg.read_text().startswith("<svg")
 
     def test_obs_dist_without_recording_errors(self, capsys, tmp_path):
-        """A journal whose every cell was replayed from the sweep cache
+        """A journal whose every cell was replayed from checkpoints
         holds no cell-dist events, and 'obs dist' says why."""
         journal = tmp_path / "campaign.jsonl"
         argv = [
             "report", "--only", "fig3", "--reps-fast", "1",
-            "--cache", str(tmp_path / "cache"),
+            "--checkpoint", str(tmp_path / "cells"),
             "--out", str(tmp_path / "report.md"),
         ]
         assert main(argv) == 0
@@ -421,9 +421,10 @@ class TestCommands:
         assert main(["obs", "dist", str(journal)]) == 1
         assert "no executed cells" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["dist", "no-dist"])
+    @pytest.mark.parametrize("flag", ["dist", "no-dist", "cache"])
     def test_report_dist_flag_rejected(self, capsys, tmp_path, flag):
-        """Latency recording is always on; the old switch is gone."""
+        """Removed flags stay removed: latency recording is always on,
+        and --checkpoint is the one result store."""
         with pytest.raises(SystemExit) as exc:
             main(["report", "--out", str(tmp_path / "r.md"), f"--{flag}"])
         assert exc.value.code == 2
@@ -532,7 +533,7 @@ class TestReportResumeCli:
             "--only", "fig3",
             "--reps-fast", "1",
             "--out", str(tmp_path / name),
-            "--cache", str(tmp_path / "cache"),
+            "--checkpoint", str(tmp_path / "cells"),
             *extra,
         ]
 
@@ -579,12 +580,78 @@ class TestReportResumeCli:
         assert main(chaos) == 3
         err = capsys.readouterr().err
         assert "campaign aborted" in err
+        assert f"completed cells persist in {tmp_path / 'cells'}" in err
         assert "--resume" in err
         assert not (tmp_path / "chaos.md").exists()
 
         resumed = self._report_args(tmp_path, "resumed.md", ("--resume",))
         assert main(resumed) == 0
         capsys.readouterr()
+        assert (tmp_path / "resumed.md").read_text() == golden.read_text()
+
+    def test_fault_abort_without_store_keeps_nothing(self, capsys, tmp_path):
+        """Without --checkpoint the abort hint must not promise a resume."""
+        plan = tmp_path / "plan.json"
+        assert main(
+            [
+                "faults", "plan", "--seed", "3",
+                "--sites", "worker.kill", "--abort", "--out", str(plan),
+            ]
+        ) == 0
+        capsys.readouterr()
+        rc = main(
+            [
+                "report", "--only", "fig3", "--reps-fast", "1",
+                "--out", str(tmp_path / "chaos.md"),
+                "--fault-plan", str(plan),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "campaign aborted; no completed cells were kept" in err
+        assert "--checkpoint DIR" in err
+        assert "--resume" not in err
+
+    def test_crash_keeps_finished_cells_and_resume_replays_them(
+        self, capsys, tmp_path
+    ):
+        """Every cell that finished before the crash is persisted, and the
+        --resume run replays exactly those instead of re-running them."""
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.obs import read_journal
+        from repro.run.persistence import CellStore
+
+        golden = tmp_path / "golden.md"
+        assert main(
+            [
+                "report", "--only", "fig3", "--reps-fast", "1",
+                "--out", str(golden),
+            ]
+        ) == 0
+        plan = tmp_path / "plan.json"
+        FaultPlan(
+            specs=(FaultSpec(
+                site="worker.kill", match="CN/xLarge", attempts=(1, 2)
+            ),)
+        ).save(plan)
+        crashed, resumed = tmp_path / "crashed.jsonl", tmp_path / "resumed.jsonl"
+        assert main(self._report_args(
+            tmp_path, "chaos.md",
+            ("--journal", str(crashed), "--fault-plan", str(plan)),
+        )) == 3
+        finished = sum(
+            e.kind == "cell-finished" for e in read_journal(crashed)
+        )
+        assert 0 < finished < 28
+        assert len(CellStore(tmp_path / "cells")) == finished
+
+        assert main(self._report_args(
+            tmp_path, "resumed.md", ("--journal", str(resumed), "--resume"),
+        )) == 0
+        capsys.readouterr()
+        events = read_journal(resumed, strict=True)
+        assert sum(e.kind == "cell-resumed" for e in events) == finished
+        assert sum(e.kind == "cell-finished" for e in events) == 28 - finished
         assert (tmp_path / "resumed.md").read_text() == golden.read_text()
 
 
@@ -598,6 +665,13 @@ class TestLoadCurveCommand:
     def test_bad_arrivals_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["loadcurve", "--arrivals", "fractal"])
+
+    def test_cache_flag_rejected(self, capsys):
+        """--checkpoint is the one result store."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["loadcurve", "--cache", "DIR"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
     def test_bad_ladder_exits_one(self, capsys, tmp_path):
         rc = main(

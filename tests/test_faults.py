@@ -25,7 +25,6 @@ from repro import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    SweepCache,
     run_campaign,
 )
 from repro.analysis.report import generate_report
@@ -48,13 +47,6 @@ from repro.run.parallel import ParallelRunner
 
 def _camp() -> Campaign:
     return Campaign(reps_fast=1, include=("fig3",))
-
-
-def _resume_runner(cache: SweepCache, **kwargs) -> ParallelRunner:
-    """A runner checkpointing into the conventional ``<cache>/cells``."""
-    return ParallelRunner(
-        checkpoint=CellStore(cache.directory / "cells"), **kwargs
-    )
 
 
 @pytest.fixture(scope="module")
@@ -323,20 +315,19 @@ class TestSeededChaosCampaigns:
 
     50 seeded plans; ``abort=True`` makes worker faults permanent, so
     most runs die at the injected site.  The resume run must rebuild the
-    exact golden report from checkpoints + cache, and the appended
+    exact golden report from the cell checkpoints, and the appended
     journal must parse strictly afterwards.
     """
 
     @pytest.mark.parametrize("seed", range(50))
     def test_resume_matches_golden_report(self, seed, golden_report, tmp_path):
-        cache = SweepCache(tmp_path / "cache")
+        store = CellStore(tmp_path / "cells")
         inj = FaultInjector(FaultPlan.random(seed, abort=True))
         jl = JsonlJournal(tmp_path / "run.jsonl")
         try:
             run_campaign(
                 _camp(),
-                cache=cache,
-                runner=_resume_runner(cache, journal=jl, faults=inj),
+                runner=ParallelRunner(checkpoint=store, journal=jl, faults=inj),
             )
         except (InjectedFault, ParallelExecutionError):
             pass  # the scheduled crash
@@ -345,7 +336,7 @@ class TestSeededChaosCampaigns:
         jl2 = JsonlJournal(tmp_path / "run.jsonl", append=True)
         try:
             result = run_campaign(
-                _camp(), cache=cache, runner=_resume_runner(cache, journal=jl2)
+                _camp(), runner=ParallelRunner(checkpoint=store, journal=jl2)
             )
         finally:
             jl2.close()
@@ -371,13 +362,12 @@ class TestSeededChaosCampaigns:
             run_worker(tmp_path / "queue", "w1", faults=inj, wait=False)
             assert site in inj.fired_sites()
             return
-        cache = SweepCache(tmp_path / "cache")
+        store = CellStore(tmp_path / "cells")
         jl = JsonlJournal(tmp_path / "run.jsonl")
         try:
             run_campaign(
                 _camp(),
-                cache=cache,
-                runner=_resume_runner(cache, journal=jl, faults=inj),
+                runner=ParallelRunner(checkpoint=store, journal=jl, faults=inj),
             )
         except (InjectedFault, ParallelExecutionError):
             pass
@@ -387,22 +377,18 @@ class TestSeededChaosCampaigns:
 
     def test_cache_corrupt_detected_and_rerun(self, golden_report, tmp_path):
         """A torn checkpoint is flagged ``checkpoint-corrupt`` and re-run."""
-        cache = SweepCache(tmp_path / "cache")
+        store = CellStore(tmp_path / "cells")
         inj = FaultInjector(
             FaultPlan(specs=(FaultSpec(site="cache.corrupt", at=1),))
         )
-        run_campaign(
-            _camp(), cache=cache, runner=_resume_runner(cache, faults=inj)
-        )
+        run_campaign(_camp(), runner=ParallelRunner(checkpoint=store, faults=inj))
         assert inj.fired_sites() == {"cache.corrupt"}
-        # the campaign completed despite the torn entry; wipe the sweep
-        # cache so the resume run must go through the cell checkpoints,
-        # one of which is corrupt.
-        cache.clear()
+        # the campaign completed despite the torn entry; the re-run
+        # replays the intact checkpoints and re-runs the torn one.
         jl = JsonlJournal(tmp_path / "run.jsonl")
         try:
             result = run_campaign(
-                _camp(), cache=cache, runner=_resume_runner(cache, journal=jl)
+                _camp(), runner=ParallelRunner(checkpoint=store, journal=jl)
             )
         finally:
             jl.close()
@@ -415,11 +401,9 @@ class TestSeededChaosCampaigns:
 class TestZeroCostWhenOff:
     def test_campaign_byte_identical_without_plan(self, golden_report, tmp_path):
         """Checkpointing + unarmed injector must not perturb results."""
-        cache = SweepCache(tmp_path / "cache")
-        store = CellStore(tmp_path / "cache" / "cells")
+        store = CellStore(tmp_path / "cells")
         result = run_campaign(
             _camp(),
-            cache=cache,
             runner=ParallelRunner(checkpoint=store, faults=FaultInjector(None)),
         )
         assert generate_report(result) == golden_report
@@ -427,16 +411,16 @@ class TestZeroCostWhenOff:
 
     def test_resumed_campaign_identical_across_jobs(self, golden_report, tmp_path):
         """Resume is deterministic at any worker count."""
-        cache = SweepCache(tmp_path / "cache")
+        store = CellStore(tmp_path / "cells")
         inj = FaultInjector(FaultPlan.random(1, abort=True))
         try:
             run_campaign(
-                _camp(), cache=cache, runner=_resume_runner(cache, faults=inj)
+                _camp(), runner=ParallelRunner(checkpoint=store, faults=inj)
             )
         except (InjectedFault, ParallelExecutionError):
             pass
         for jobs in (1, 2):
             result = run_campaign(
-                _camp(), cache=cache, runner=_resume_runner(cache, jobs=jobs)
+                _camp(), runner=ParallelRunner(checkpoint=store, jobs=jobs)
             )
             assert generate_report(result) == golden_report

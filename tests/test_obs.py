@@ -44,7 +44,7 @@ from repro.run.experiment import (
     run_platform_sweep,
 )
 from repro.run.parallel import ParallelRunner, cell_tasks, execute_cell
-from repro.run.persistence import SweepCache
+from repro.run.persistence import CellStore
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -302,22 +302,30 @@ class TestJournalFromRuns:
         assert retried.attempt == 1
 
     def test_cache_hits_journaled(self, tmp_path):
-        cache = SweepCache(tmp_path / "cache")
+        """A warm checkpointed re-run journals every cell as resumed."""
+        store = CellStore(tmp_path / "cells")
         wl = SyntheticWorkload(threads_per_process=2, phases=2)
         insts = [instance_type("Large")]
-        run_platform_sweep(wl, insts, reps=1, seed=3, cache=cache)
+        run_platform_sweep(
+            wl, insts, reps=1, seed=3, runner=ParallelRunner(checkpoint=store)
+        )
 
         jl = MemoryJournal()
+        metrics = MetricsRegistry()
         run_platform_sweep(
-            wl, insts, reps=1, seed=3, cache=cache,
-            runner=ParallelRunner(journal=jl),
+            wl, insts, reps=1, seed=3,
+            runner=ParallelRunner(checkpoint=store, journal=jl, metrics=metrics),
         )
-        probes = [e for e in jl.events if e.kind == "sweep-cache-probe"]
-        assert len(probes) == 1 and probes[0].cached is True
-        hits = [e for e in jl.events if e.kind == "cell-cache-hit"]
+        hits = [e for e in jl.events if e.kind == "cell-resumed"]
         assert len(hits) == 7  # seven-platform sweep, one instance
         assert all(e.cached for e in hits)
         assert jl.count("cell-finished") == 0  # nothing actually ran
+        assert jl.count("cell-cache-hit") == 0
+        assert metrics.counter("repro_cells_resumed_total").value == 7
+        summary = summarize_journal(jl.events)
+        assert (summary.n_cells, summary.n_resumed, summary.n_executed) == (
+            7, 7, 0,
+        )
 
 
 class TestSummary:
@@ -331,8 +339,7 @@ class TestSummary:
         summary = summarize_journal(jl.events)
         assert summary.n_cells == 3
         assert summary.n_executed == 3
-        assert summary.n_cached == 0
-        assert summary.cache_hit_ratio == 0.0
+        assert summary.n_resumed == 0
         assert summary.wall_seconds > 0
         assert summary.sched_events_total > 0
         assert summary.events_per_second > 0
@@ -352,17 +359,21 @@ class TestSummary:
             summarize_journal([])
 
     def test_cached_cells_counted(self):
+        """Replayed cells are one count, whether an older journal wrote
+        them as sweep-cache hits or a current one as checkpoint replays."""
         events = [
             JournalEvent(ts=0.0, kind="cell-cache-hit", label="a", cached=True),
+            JournalEvent(ts=0.0, kind="cell-resumed", label="b", cached=True),
             JournalEvent(
-                ts=0.0, kind="cell-finished", label="b",
+                ts=0.0, kind="cell-finished", label="c",
                 worker="pid-1", attempt=1, duration=1.0,
             ),
         ]
         summary = summarize_journal(events)
-        assert summary.n_cells == 2
-        assert summary.n_cached == 1
-        assert summary.cache_hit_ratio == 0.5
+        assert summary.n_cells == 3
+        assert summary.n_resumed == 2
+        assert summary.n_executed == 1
+        assert "1 executed, 2 replayed from checkpoints" in summary.render()
 
     def test_unknown_kinds_counted_not_fatal(self):
         events = [
@@ -395,7 +406,7 @@ class TestSummary:
         assert "cell latency percentiles" in summary.render()
 
     def test_without_dist_no_percentile_block(self):
-        # as in a journal whose every cell was replayed from a cache
+        # as in a journal whose every cell was replayed from checkpoints
         events = [e for e in self._journal().events if e.kind != "cell-dist"]
         summary = summarize_journal(events)
         assert summary.dists == {}

@@ -37,7 +37,7 @@ from repro.run.parallel import (
     execute_cell,
 )
 from repro.obs.journal import MemoryJournal
-from repro.run.persistence import CellStore, SweepCache
+from repro.run.persistence import CellStore
 from repro.sched.affinity import ProvisioningMode
 
 
@@ -397,7 +397,6 @@ class TestProgressReporting:
         assert all(t == n for _, t, _ in seen)
         payloads = [p for _, _, p in seen]
         replayed = [p for p in payloads if isinstance(p, CachedCell)]
-        assert all(p.resumed for p in replayed)
         assert [p.task for p in replayed] == (tasks[::2] if warm else [])
         assert payloads[: len(replayed)] == replayed
         labels = [p.label for p in payloads]
@@ -407,50 +406,65 @@ class TestProgressReporting:
 
 
 class TestCacheIntegration:
+    """A checkpoint store is the sweep's cache on every leg."""
+
     def test_parallel_run_writes_cache(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        store = CellStore(tmp_path)
         wl = SyntheticWorkload(threads_per_process=2, phases=2)
         insts = [instance_type("Large")]
         sweep = run_platform_sweep(
-            wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache
+            wl, insts, reps=1, seed=3,
+            runner=ParallelRunner(2, checkpoint=store),
         )
-        assert len(list(tmp_path.glob("sweep-*.json"))) == 1
+        assert len(list(tmp_path.glob("cell-*.json"))) == 7
+        jl = MemoryJournal()
         cached = run_platform_sweep(
-            wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache
+            wl, insts, reps=1, seed=3,
+            runner=ParallelRunner(2, checkpoint=store, journal=jl),
         )
         assert sweep_json(cached) == sweep_json(sweep)
+        # a warm re-run submits nothing to the pool
+        assert jl.count("cell-resumed") == 7
+        assert jl.count("cell-queued") == 0
 
     def test_warm_cache_reports_tagged_progress(self, tmp_path):
-        """Cache probe happens before submission, but the resolved cells
-        still reach the progress callback — as tagged cache hits with an
-        accurate (done, total) — instead of silently vanishing."""
-        cache = SweepCache(tmp_path)
+        """The checkpoint probe happens before submission, but replayed
+        cells still reach the progress callback — as :class:`CachedCell`
+        payloads with an accurate (done, total) — instead of silently
+        vanishing."""
+        store = CellStore(tmp_path)
         wl = SyntheticWorkload(threads_per_process=2, phases=2)
         insts = [instance_type("Large")]
-        run_platform_sweep(wl, insts, reps=1, seed=3, cache=cache)
+        run_platform_sweep(
+            wl, insts, reps=1, seed=3, runner=ParallelRunner(checkpoint=store)
+        )
 
         events: list[tuple[int, int, object]] = []
         runner = ParallelRunner(
-            2, progress=lambda d, t, task: events.append((d, t, task))
+            2, checkpoint=store,
+            progress=lambda d, t, task: events.append((d, t, task)),
         )
-        run_platform_sweep(
-            wl, insts, reps=1, seed=3, runner=runner, cache=cache
-        )
+        run_platform_sweep(wl, insts, reps=1, seed=3, runner=runner)
         spec = platform_sweep_spec(wl, insts, reps=1, seed=3)
         tasks, _ = cell_tasks(spec)
         assert [d for d, _, _ in events] == list(range(1, len(tasks) + 1))
         assert all(t == len(tasks) for _, t, _ in events)
-        assert all(isinstance(p, CachedCell) and p.cached for _, _, p in events)
+        assert all(isinstance(p, CachedCell) for _, _, p in events)
         assert [p.label for _, _, p in events] == [t.label for t in tasks]
 
     def test_serial_and_parallel_share_cache_entries(self, tmp_path):
-        """Identical spec -> identical fingerprint -> one cache entry,
-        whichever path ran first."""
-        cache = SweepCache(tmp_path)
+        """Identical cell -> identical fingerprint -> one entry, whichever
+        path ran first."""
+        store = CellStore(tmp_path)
         wl = SyntheticWorkload(threads_per_process=2, phases=2)
         insts = [instance_type("Large")]
-        run_platform_sweep(wl, insts, reps=1, seed=3, cache=cache)
         run_platform_sweep(
-            wl, insts, reps=1, seed=3, runner=ParallelRunner(2), cache=cache
+            wl, insts, reps=1, seed=3, runner=ParallelRunner(checkpoint=store)
         )
-        assert len(list(tmp_path.glob("sweep-*.json"))) == 1
+        jl = MemoryJournal()
+        run_platform_sweep(
+            wl, insts, reps=1, seed=3,
+            runner=ParallelRunner(2, checkpoint=store, journal=jl),
+        )
+        assert len(list(tmp_path.glob("cell-*.json"))) == 7
+        assert jl.count("cell-resumed") == 7

@@ -1,4 +1,4 @@
-"""Tests for the sweep cache."""
+"""Tests for the cell result store and the content fingerprints."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro import Calibration, SyntheticWorkload, instance_type
 from repro.hostmodel.topology import small_host
 from repro.platforms.base import PlatformKind
 from repro.run.experiment import ExperimentSpec
-from repro.run.persistence import SweepCache, spec_fingerprint
+from repro.run.persistence import CellStore, spec_fingerprint
 from repro.sched.affinity import ProvisioningMode
 
 
@@ -140,55 +140,73 @@ class TestFingerprint:
         ) == spec_fingerprint(spec_with(DuckWorkload("ba")))
 
 
+def _sweep(spec, store, **kwargs):
+    from repro.run.experiment import run_experiment
+    from repro.run.parallel import ParallelRunner
+
+    return run_experiment(
+        spec, runner=ParallelRunner(checkpoint=store, **kwargs)
+    )
+
+
+def _sweep_json(sweep) -> str:
+    import json
+
+    # NaN-safe comparison (mean_response is NaN for makespan cells)
+    return json.dumps(sweep.to_dict(), sort_keys=True)
+
+
 class TestCache:
+    """A checkpointed sweep is its own cache: every cell is stored as it
+    finishes and a warm re-run replays all of them."""
+
     def test_miss_then_hit(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        store = CellStore(tmp_path)
         spec = make_spec()
-        assert cache.get(spec) is None
-        sweep = cache.get_or_run(spec)
-        assert cache.path_for(spec).exists()
-        again = cache.get(spec)
-        assert again is not None
-        assert again.cell("Vanilla BM", "Large").mean == pytest.approx(
-            sweep.cell("Vanilla BM", "Large").mean
-        )
+        assert len(store) == 0
+        sweep = _sweep(spec, store)
+        assert len(store) == 2  # one entry per (platform, instance) cell
+        again = _sweep(spec, store)
+        assert _sweep_json(again) == _sweep_json(sweep)
+        assert len(store) == 2
 
     def test_hit_skips_runner(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        """A warm re-run submits nothing: the worker is never called."""
+        from repro.run.parallel import ParallelRunner, cell_tasks
+
+        store = CellStore(tmp_path)
         spec = make_spec()
-        cache.get_or_run(spec)
+        _sweep(spec, store)
         calls = []
 
-        def exploding_runner(s):
-            calls.append(s)
+        def exploding_worker(task):
+            calls.append(task)
             raise AssertionError("should not run")
 
-        cache.get_or_run(spec, runner=exploding_runner)
+        tasks, _ = cell_tasks(spec)
+        runs = ParallelRunner(checkpoint=store).run_tasks(
+            exploding_worker, tasks
+        )
         assert calls == []
+        assert [len(r) for r in runs] == [spec.reps] * len(tasks)
 
     def test_different_specs_different_entries(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        cache.get_or_run(make_spec(seed=1))
-        cache.get_or_run(make_spec(seed=2))
-        assert len(list(tmp_path.glob("sweep-*.json"))) == 2
-
-    def test_clear(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        cache.get_or_run(make_spec())
-        assert cache.clear() == 1
-        assert cache.get(make_spec()) is None
-
-    def test_clear_missing_dir(self, tmp_path):
-        cache = SweepCache(tmp_path / "nope")
-        assert cache.clear() == 0
+        store = CellStore(tmp_path)
+        _sweep(make_spec(seed=1), store)
+        _sweep(make_spec(seed=2), store)
+        assert len(list(tmp_path.glob("cell-*.json"))) == 4
 
     def test_contains_probe(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        from repro.run.parallel import cell_tasks
+
+        store = CellStore(tmp_path)
         spec = make_spec()
-        assert not cache.contains(spec)
-        cache.get_or_run(spec)
-        assert cache.contains(spec)
-        assert not cache.contains(make_spec(seed=42))
+        keys = [store.key_for(t) for t in cell_tasks(spec)[0]]
+        assert [store.load(k)[1] for k in keys] == ["miss", "miss"]
+        _sweep(spec, store)
+        assert [store.load(k)[1] for k in keys] == ["hit", "hit"]
+        other = [store.key_for(t) for t in cell_tasks(make_spec(seed=42))[0]]
+        assert [store.load(k)[1] for k in other] == ["miss", "miss"]
 
 
 def _cell_task(seed=7):
@@ -212,11 +230,10 @@ def _cell_task(seed=7):
 
 
 class TestAtomicWrites:
-    """Regression: cache writes can never leave a truncated entry."""
+    """Regression: store writes can never leave a truncated entry."""
 
     def test_no_tmp_file_after_put(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        cache.get_or_run(make_spec())
+        _sweep(make_spec(), CellStore(tmp_path))
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_failed_write_leaves_old_entry_intact(self, tmp_path):
@@ -234,56 +251,47 @@ class TestAtomicWrites:
     def test_disk_full_fault_leaves_no_partial_entry(self, tmp_path):
         from repro.errors import InjectedFault
         from repro.faults import FaultInjector, FaultPlan, FaultSpec
+        from repro.run.parallel import execute_cell
 
         inj = FaultInjector(
             FaultPlan(specs=(FaultSpec(site="disk.full", at=1),), seed=0)
         )
-        cache = SweepCache(tmp_path, faults=inj)
-        spec = make_spec()
-        from repro.run.experiment import run_experiment
-
-        sweep = run_experiment(spec)
+        store = CellStore(tmp_path, faults=inj)
+        task = _cell_task()
+        key = store.key_for(task)
+        runs = execute_cell(task)
         with pytest.raises(InjectedFault):
-            cache.put(spec, sweep)
-        assert not cache.path_for(spec).exists()
+            store.put(key, runs)
+        assert not store.path_for(key).exists()
         assert list(tmp_path.glob("*.tmp")) == []
         # the fault fires once; the retried write succeeds atomically
-        cache.put(spec, sweep)
-        assert cache.get(spec) is not None
+        store.put(key, runs)
+        assert store.load(key)[1] == "hit"
 
 
 class TestCorruptEntries:
     """Regression for the non-atomic write bug: damaged entries are
-    detected and (on the resume path) treated as misses, never crashes."""
-
-    def test_corrupt_entry_raises_by_default(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        cache = SweepCache(tmp_path)
-        spec = make_spec()
-        cache.get_or_run(spec)
-        cache.path_for(spec).write_text('{"truncated": ')
-        with pytest.raises(ConfigurationError, match="corrupt cache entry"):
-            cache.get(spec)
+    detected and re-run, never crashes."""
 
     def test_corrupt_entry_as_miss_then_overwritten(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        from repro.obs.journal import MemoryJournal
+
+        store = CellStore(tmp_path)
         spec = make_spec()
-        sweep = cache.get_or_run(spec)
-        cache.path_for(spec).write_text('{"truncated": ')
-        assert cache.get(spec, on_corrupt="miss") is None
-        # contains() still sees the damaged file; the resume path pairs
-        # it with get(on_corrupt="miss") and re-runs
-        assert cache.contains(spec)
-        cache.put(spec, sweep)
-        assert cache.get(spec) is not None
-
-    def test_bad_on_corrupt_value_rejected(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        cache = SweepCache(tmp_path)
-        with pytest.raises(ConfigurationError, match="on_corrupt"):
-            cache.get(make_spec(), on_corrupt="explode")
+        sweep = _sweep(spec, store)
+        torn = sorted(tmp_path.glob("cell-*.json"))[0]
+        torn.write_text('{"truncated": ')
+        jl = MemoryJournal()
+        again = _sweep(spec, store, journal=jl)
+        assert _sweep_json(again) == _sweep_json(sweep)
+        assert jl.count("checkpoint-corrupt") == 1
+        assert jl.count("cell-resumed") == 1
+        assert jl.count("cell-finished") == 1  # only the torn cell re-ran
+        # the re-run overwrote the torn entry with an intact one
+        assert all(
+            store.load(f.name[len("cell-"):-len(".json")])[1] == "hit"
+            for f in tmp_path.glob("cell-*.json")
+        )
 
 
 class TestCellStore:
@@ -330,7 +338,7 @@ class TestCellStore:
         [replayed] = ParallelRunner(
             1, checkpoint=store, progress=lambda d, t, p: seen.append(p)
         ).run_tasks(execute_cell, tasks)
-        assert seen == [CachedCell(tasks[0], resumed=True)]
+        assert seen == [CachedCell(tasks[0])]
         assert all(r.dist["cell"].count == 1 for r in replayed)
         assert canon(replayed) == canon(fresh)
         round_trip = [RunResult.from_dict(r.to_dict()) for r in replayed]
