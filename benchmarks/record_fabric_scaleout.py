@@ -58,8 +58,8 @@ def _campaign() -> Campaign:
 def _durable_serial(workdir: Path) -> str:
     """The honest baseline: serial campaign with telemetry + checkpoints
     attached, exactly the durability a fabric worker always pays for."""
+    shutil.rmtree(workdir / "serial-cells", ignore_errors=True)
     store = CellStore(workdir / "serial-cells")
-    store.clear()
     journal = JsonlJournal(workdir / "serial.jsonl")
     try:
         result = run_campaign(

@@ -65,8 +65,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # cold store each rep, so every pass pays the full write cost
         def checkpointed():
+            shutil.rmtree(workdir / "cells", ignore_errors=True)
             store = CellStore(workdir / "cells")
-            store.clear()
             return run_campaign(
                 _campaign(), runner=ParallelRunner(checkpoint=store)
             )

@@ -770,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fm_p.add_argument(
         "--metrics-out", metavar="PATH",
-        help="write the merged metrics snapshot (JSON)",
+        help="write metrics built from the merged journal (JSON)",
     )
     fm_p.add_argument(
         "--trace-out", metavar="PATH",

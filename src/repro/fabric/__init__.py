@@ -15,8 +15,9 @@ directory) drain cooperatively:
   :class:`~repro.run.parallel.ParallelRunner` → checkpoint into the
   shared :class:`~repro.run.persistence.CellStore` → finalize);
 * :mod:`repro.fabric.coordinator` — queue init, worker launch, and the
-  merge that folds shard journals, metrics and checkpoints into a
-  report byte-identical to the serial ``run_campaign``.
+  merge that folds shard journals and checkpoints into a report
+  byte-identical to the serial ``run_campaign`` (campaign metrics are
+  built from the merged journal).
 
 CLI: ``repro fabric init|work|run|merge|status``.
 """

@@ -11,8 +11,8 @@ across machines sharing a filesystem:
 * :func:`merge_queue` — once every shard is done, load every cell from
   the shared checkpoint store, reassemble the serial
   :class:`~repro.run.campaign.CampaignResult` (byte-identical report),
-  and fold the winning-generation shard journals and metrics snapshots
-  into one stream.
+  and fold the winning-generation shard journals into one stream, from
+  which the campaign metrics are built.
 
 Exactly-once merge semantics are *structural*: a reclaimed shard has
 journals at several generations, but only the generation named by the
@@ -43,7 +43,7 @@ from repro.fabric.plan import (
 from repro.fabric.queue import ShardQueue
 from repro.obs.events import JournalEvent
 from repro.obs.journal import read_journal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.export import journal_to_metrics
 from repro.obs.trace_spans import (
     TRACE_ENV,
     Span,
@@ -172,7 +172,8 @@ def merge_queue(
     corrupt checkpoint is a hard error, since a done shard vouches for
     its cells — and reassembles the exact serial result.  Optionally
     writes the merged winning-generation journal (JSONL, shard order),
-    the summed metrics snapshot (counters add, gauges last-wins), and —
+    the metrics built from that journal
+    (:func:`~repro.obs.export.journal_to_metrics`, JSON), and —
     for a queue initialised with ``trace=True`` — the unified Chrome
     trace (``trace_out``): the winning-generation spans of every shard
     merged under a synthesized campaign root, with lease reclaims,
@@ -205,7 +206,6 @@ def merge_queue(
 
     info = MergeInfo(shards=len(done), cells=len(refs))
     events: list[JournalEvent] = []
-    registry = MetricsRegistry()
     workers: set[str] = set()
     for shard in sorted(done):
         gen, worker = done[shard]
@@ -215,9 +215,6 @@ def merge_queue(
         journal_path = queue.journal_path(shard, gen)
         if journal_path.exists():
             events.extend(read_journal(journal_path, strict=False))
-        metrics_path = queue.metrics_path(shard, gen)
-        if metrics_path.exists():
-            registry.merge(json.loads(metrics_path.read_text()))
     info.events = len(events)
     info.workers = sorted(workers)
 
@@ -262,6 +259,9 @@ def merge_queue(
                 fh.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
     if metrics_out is not None:
         with open(metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(registry.snapshot(), fh, indent=2, sort_keys=True)
+            json.dump(
+                journal_to_metrics(events).to_json(), fh, indent=2,
+                sort_keys=True,
+            )
             fh.write("\n")
     return result, info

@@ -31,7 +31,7 @@ Layout of a queue directory::
     shards/                    todo-/lease-/done- state files
     cells/                     shared CellStore (per-cell checkpoints)
     journals/shard-NNNN-gG.jsonl   per-(shard, generation) journals
-    metrics/shard-NNNN-gG.json     per-(shard, generation) snapshots
+                               (the merge builds metrics from these)
 
 Fault sites (occurrence-counted by the worker's own injector):
 ``lease.stale`` silently stops refreshing one lease's heartbeats, so a
@@ -144,20 +144,12 @@ class ShardQueue:
         return self.directory / "journals"
 
     @property
-    def metrics_dir(self) -> Path:
-        return self.directory / "metrics"
-
-    @property
     def manifest_path(self) -> Path:
         return self.directory / "manifest.json"
 
     def journal_path(self, shard: int, generation: int) -> Path:
         """The JSONL journal one (shard, generation) execution writes."""
         return self.journals_dir / f"shard-{shard:04d}-g{generation}.jsonl"
-
-    def metrics_path(self, shard: int, generation: int) -> Path:
-        """The metrics snapshot one (shard, generation) execution writes."""
-        return self.metrics_dir / f"shard-{shard:04d}-g{generation}.json"
 
     def manifest(self) -> dict:
         """The queue's manifest (cached after the first read)."""
@@ -193,7 +185,7 @@ class ShardQueue:
                 f"{directory} already holds a shard queue; use resume or "
                 "point at a fresh directory"
             )
-        for sub in ("shards", "cells", "journals", "metrics"):
+        for sub in ("shards", "cells", "journals"):
             (directory / sub).mkdir(parents=True, exist_ok=True)
         for i, (start, stop) in enumerate(ranges):
             atomic_write_json(

@@ -7,8 +7,8 @@ claim a shard, execute its cell slice with the ordinary
 :class:`~repro.run.parallel.ParallelRunner` (checkpointing every cell
 into the queue's shared :class:`~repro.run.persistence.CellStore` and
 heartbeating the lease after every completed cell), journal the shard
-lifecycle into a per-(shard, generation) JSONL journal, snapshot the
-runner's metrics, and finalize the lease.
+lifecycle into a per-(shard, generation) JSONL journal, and finalize
+the lease.
 
 Crash semantics: a worker that dies mid-shard (e.g. an injected
 ``worker.kill``) leaves its lease in place; after ``lease_ttl`` without
@@ -40,7 +40,6 @@ from repro.faults import FaultInjector
 from repro.fabric.plan import campaign_cells, campaign_from_manifest, plan_fingerprint
 from repro.fabric.queue import ShardQueue
 from repro.obs.journal import JsonlJournal
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace_spans import (
     NULL_TRACER,
     TRACE_ENV,
@@ -49,7 +48,7 @@ from repro.obs.trace_spans import (
     span_id_for,
 )
 from repro.run.parallel import ParallelRunner, execute_cell
-from repro.run.persistence import CellStore, atomic_write_json
+from repro.run.persistence import CellStore
 
 __all__ = ["WorkerReport", "run_worker"]
 
@@ -154,7 +153,6 @@ def run_worker(
         journal = JsonlJournal(
             queue.journal_path(lease.shard, lease.generation), faults=faults
         )
-        metrics = MetricsRegistry()
         tracer = NULL_TRACER
         if trace_id:
             # Root at shard-NNNN-gG: span ids stay unique fleet-wide even
@@ -203,7 +201,6 @@ def run_worker(
             runner = ParallelRunner(
                 jobs,
                 journal=journal,
-                metrics=metrics,
                 checkpoint=store,
                 faults=faults,
                 progress=lambda done, total, payload: queue.heartbeat(lease),
@@ -225,10 +222,6 @@ def run_worker(
                     "generation": lease.generation,
                     "cells": lease.cells,
                 },
-            )
-            atomic_write_json(
-                queue.metrics_path(lease.shard, lease.generation),
-                metrics.snapshot(),
             )
             queue.finalize(lease)
             report.shards_done.append(lease.shard)

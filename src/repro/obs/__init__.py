@@ -12,8 +12,9 @@ the same discipline to the reproduction's own campaigns:
 * :mod:`repro.obs.summary` — fold a journal back into the operator's
   questions (slowest cells, retry counts, replayed cells, per-worker
   utilization, critical path);
-* :mod:`repro.obs.metrics` — process-wide counters / gauges /
-  histograms / quantile summaries with JSON and Prometheus text export;
+* :mod:`repro.obs.metrics` — counters / gauges / histograms /
+  quantile summaries with JSON and Prometheus text export, built from
+  a journal by :func:`~repro.obs.export.journal_to_metrics`;
 * :mod:`repro.obs.sketch` — deterministic mergeable quantile sketches,
   log-spaced streaming histograms, and the per-run latency recorder
   behind ``cell-dist`` journal events and ``repro obs dist``;
@@ -82,7 +83,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     Summary,
-    default_registry,
 )
 from repro.obs.sketch import (
     DEFAULT_ALPHA,
@@ -172,7 +172,6 @@ __all__ = [
     "MetricsRegistry",
     "CELL_SECONDS_BUCKETS",
     "SUMMARY_QUANTILES",
-    "default_registry",
     # sketches
     "DEFAULT_ALPHA",
     "QuantileSketch",

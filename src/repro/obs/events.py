@@ -1,18 +1,19 @@
 """Versioned schema of campaign-journal events.
 
 A run journal is a stream of :class:`JournalEvent` records describing the
-lifecycle of a campaign: cells queued, started, resolved from cache or
-replayed from a resume checkpoint, retried, failed, and finished, plus
+lifecycle of a campaign: cells queued, started, replayed from a resume
+checkpoint, retried, failed, and finished (each naming its cell by store
+key, :attr:`JournalEvent.cell`), plus
 sweep/campaign spans, worker-pool rebuilds, deterministic fault
 injections (``fault-injected`` / ``checkpoint-corrupt``), fabric shard
 lifecycles (``shard-started`` / ``shard-finished`` / ``shard-lost`` /
 ``shard-reclaimed``), adaptive rep-allocation rounds
 (``reps-allocated``), and trace spans (``span``, carrying one encoded
 :class:`~repro.obs.trace_spans.Span` per record).  The schema is
-versioned (:data:`SCHEMA_VERSION`) so journals
-written by one release can be rejected loudly — not misread silently —
-by another, and :func:`validate_event` is the single gate every reader
-passes records through.
+versioned (:data:`SCHEMA_VERSION`; version 2 added the cell key) so
+journals written by one release can be rejected loudly — not misread
+silently — by another, and :func:`validate_event` is the single gate
+every reader passes records through.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 #: Version of the journal event schema; bump on incompatible change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Every event kind a journal may contain.
 EVENT_KINDS: frozenset[str] = frozenset(
@@ -37,14 +38,9 @@ EVENT_KINDS: frozenset[str] = frozenset(
         "campaign-started",
         "campaign-finished",
         "sweep-started",
-        # no longer written; kept so older journals still parse strictly
-        "sweep-cache-probe",
         "sweep-finished",
         "cell-queued",
         "cell-started",
-        # no longer written (a warm re-run journals cell-resumed); kept
-        # so older journals still parse strictly
-        "cell-cache-hit",
         "cell-resumed",
         "cell-retried",
         "cell-failed",
@@ -81,7 +77,13 @@ class JournalEvent:
         kinds written by newer schemas and count them instead of
         raising).
     label:
-        Identity of the subject (cell label, workload name, campaign).
+        Display name of the subject (cell label, workload name,
+        campaign).  Cell labels are not unique — fig. 7's two hosts
+        share them — so a cell's identity is :attr:`cell`.
+    cell:
+        The cell's store key (:func:`repro.run.persistence.task_fingerprint`)
+        on per-cell events of cell tasks; empty otherwise (other
+        payloads are identified by their label).
     worker:
         Worker identity (``"pid-<n>"``) for cell events, where known.
     attempt:
@@ -102,6 +104,7 @@ class JournalEvent:
     ts: float
     kind: str
     label: str = ""
+    cell: str = ""
     worker: str = ""
     attempt: int = 0
     duration: float = 0.0
@@ -123,6 +126,8 @@ class JournalEvent:
             "detail": self.detail,
             "schema": self.schema,
         }
+        if self.cell:
+            out["cell"] = self.cell
         if self.extra:
             out["extra"] = self.extra
         return out
@@ -135,6 +140,7 @@ class JournalEvent:
             ts=float(d["ts"]),
             kind=d["kind"],
             label=d.get("label", ""),
+            cell=d.get("cell", ""),
             worker=d.get("worker", ""),
             attempt=int(d.get("attempt", 0)),
             duration=float(d.get("duration", 0.0)),
@@ -172,6 +178,8 @@ def validate_event(d: dict) -> None:
         )
     if not isinstance(d.get("label", ""), str):
         raise ConfigurationError("event label must be a string")
+    if not isinstance(d.get("cell", ""), str):
+        raise ConfigurationError("event cell must be a string")
     if not isinstance(d.get("worker", ""), str):
         raise ConfigurationError("event worker must be a string")
     attempt = d.get("attempt", 0)

@@ -97,7 +97,6 @@ def journal_to_chrome(events: list[JournalEvent]) -> dict:
         elif e.kind in (
             "cell-retried",
             "cell-failed",
-            "cell-cache-hit",
             "cell-resumed",
             "checkpoint-corrupt",
             "fault-injected",
@@ -154,7 +153,13 @@ def journal_to_folded(events: list[JournalEvent]) -> list[str]:
 
 
 def journal_to_metrics(events: list[JournalEvent]) -> MetricsRegistry:
-    """Rebuild the campaign metrics registry from a recorded journal."""
+    """Build the campaign metrics registry from a recorded journal.
+
+    The journal is the only source of campaign metrics: ``obs export
+    --format prom`` and ``fabric merge --metrics-out`` both export this
+    registry.  Cells are counted by store key (see
+    :func:`~repro.obs.summary.summarize_journal`).
+    """
     registry = MetricsRegistry()
     summary = summarize_journal(events)
     registry.counter(
@@ -172,6 +177,9 @@ def journal_to_metrics(events: list[JournalEvent]) -> MetricsRegistry:
     registry.counter(
         "repro_pool_rebuilds_total", "worker-pool rebuilds after breakage"
     ).value = float(summary.pool_rebuilds)
+    registry.counter(
+        "repro_sim_runs_total", "simulated repetitions executed"
+    ).value = float(sum(c.runs for c in summary.cells.values()))
     registry.counter(
         "repro_sim_sched_events_total", "simulator scheduling events"
     ).value = float(summary.sched_events_total)

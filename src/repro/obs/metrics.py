@@ -1,14 +1,13 @@
-"""Process-wide metrics registry: counters, gauges, histograms, and
-sketch-backed quantile summaries.
+"""Metrics registry: counters, gauges, histograms, and sketch-backed
+quantile summaries.
 
 The quantitative side of the telemetry layer: cheap named aggregates
-(cells completed, simulator scheduling events, migrations, cache probes)
-that accumulate during a campaign and export as JSON or as the
-Prometheus text exposition format.  Worker processes never share the
-registry directly — cell results (and their perf counters) travel back
-to the parent, which aggregates them here, and picklable
-:meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.merge` support
-explicit cross-process aggregation where needed.
+(cells completed, simulator scheduling events, migrations) that export
+as JSON or as the Prometheus text exposition format.  A registry is
+built from a recorded run journal by
+:func:`repro.obs.export.journal_to_metrics` — the journal is the one
+source of campaign metrics, so serial, pool and fabric runs all export
+the same counters.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "MetricsRegistry",
     "CELL_SECONDS_BUCKETS",
     "SUMMARY_QUANTILES",
-    "default_registry",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -291,45 +289,6 @@ class MetricsRegistry:
                 lines.append(f"{m.name} {_fmt(m.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- cross-process aggregation --------------------------------------
-
-    def snapshot(self) -> dict:
-        """A picklable/JSON-able copy suitable for :meth:`merge`."""
-        return self.to_json()
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker) into this registry.
-
-        Counters and histogram buckets add; gauges take the incoming
-        value (last writer wins).
-        """
-        for name, data in snapshot.items():
-            kind = data.get("type")
-            if kind == "counter":
-                self.counter(name, data.get("help", "")).inc(data["value"])
-            elif kind == "gauge":
-                self.gauge(name, data.get("help", "")).set(data["value"])
-            elif kind == "histogram":
-                bounds = tuple(float(b) for b in data["buckets"])
-                hist = self.histogram(name, bounds, data.get("help", ""))
-                if hist.buckets != bounds:
-                    raise ConfigurationError(
-                        f"histogram {name!r} bucket mismatch on merge: "
-                        f"{hist.buckets} vs {bounds}"
-                    )
-                for i, c in enumerate(data["buckets"].values()):
-                    hist.counts[i] += c
-                hist.sum += data["sum"]
-                hist.count += data["count"]
-            elif kind == "summary":
-                quantiles = tuple(float(q) for q in data["quantiles"])
-                summ = self.summary(name, data.get("help", ""), quantiles)
-                summ.merge_sketch(QuantileSketch.from_dict(data["sketch"]))
-            else:
-                raise ConfigurationError(
-                    f"cannot merge metric {name!r} of unknown type {kind!r}"
-                )
-
     def render(self) -> str:
         """Compact human-readable dump (one metric per line)."""
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
@@ -365,14 +324,3 @@ def _fmt(value: float) -> str:
     if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
-
-
-_DEFAULT: MetricsRegistry | None = None
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry (created on first use)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = MetricsRegistry()
-    return _DEFAULT

@@ -2,10 +2,10 @@
 
 The journal is a flat event stream; :func:`summarize_journal` folds it
 back into the questions an operator actually asks after a campaign:
-which cells dominated wall-clock, what got retried, how much the sweep
-cache saved, how evenly the pool workers were loaded, and what bounds
-further speedup (the critical path — the busiest worker's total cell
-time, which no amount of extra workers can shrink).
+which cells dominated wall-clock, what got retried, how many cells were
+replayed from checkpoints, how evenly the pool workers were loaded, and
+what bounds further speedup (the critical path — the busiest worker's
+total cell time, which no amount of extra workers can shrink).
 """
 
 from __future__ import annotations
@@ -43,7 +43,12 @@ def _pct_label(q: float) -> str:
 
 @dataclass
 class CellRecord:
-    """Everything the journal recorded about one cell."""
+    """Everything the journal recorded about one cell.
+
+    ``label`` is display text only: cells are identified by their store
+    key (:attr:`~repro.obs.events.JournalEvent.cell`), and several cells
+    may share a label.
+    """
 
     label: str
     duration: float = 0.0
@@ -52,6 +57,7 @@ class CellRecord:
     retries: int = 0
     resumed: bool = False
     failed: bool = False
+    runs: int = 0
     sched_events: float = 0.0
     migrations: float = 0.0
     #: core-seconds per overhead-ledger mechanism (``cell-ledger`` events)
@@ -110,8 +116,10 @@ class RunSummary:
     wall_seconds:
         Journal span: last event timestamp minus first.
     cells:
-        Per-cell records, keyed by label (a label that ran in several
-        contexts — e.g. fig7's per-host duplicates — accumulates).
+        Per-cell records, keyed by the cell's store key (events without
+        one — payloads that are not cell tasks — fall back to their
+        label).  Distinct cells sharing a label, like fig. 7's per-host
+        copies, stay distinct.
     worker_busy:
         Busy seconds per worker (sum of its cells' durations).
     retries_total / failures_total:
@@ -324,10 +332,11 @@ def summarize_journal(events: list[JournalEvent]) -> RunSummary:
     last = max(e.ts + e.duration for e in events)
     summary = RunSummary(wall_seconds=max(0.0, last - first))
 
-    def cell(label: str) -> CellRecord:
-        rec = summary.cells.get(label)
+    def cell(e: JournalEvent) -> CellRecord:
+        key = e.cell or e.label
+        rec = summary.cells.get(key)
         if rec is None:
-            rec = summary.cells[label] = CellRecord(label=label)
+            rec = summary.cells[key] = CellRecord(label=e.label)
         return rec
 
     def shard(label: str) -> ShardRecord:
@@ -338,10 +347,11 @@ def summarize_journal(events: list[JournalEvent]) -> RunSummary:
 
     for e in events:
         if e.kind == "cell-finished":
-            rec = cell(e.label)
+            rec = cell(e)
             rec.duration += e.duration
             rec.worker = e.worker or rec.worker
             rec.attempts += max(1, e.attempt)
+            rec.runs += int(e.extra.get("runs", 0))
             rec.sched_events += float(e.extra.get("sched_events", 0.0))
             rec.migrations += float(e.extra.get("migrations", 0.0))
             worker = e.worker or "(unknown)"
@@ -349,22 +359,21 @@ def summarize_journal(events: list[JournalEvent]) -> RunSummary:
                 summary.worker_busy.get(worker, 0.0) + e.duration
             )
         elif e.kind == "cell-ledger":
-            rec = cell(e.label)
+            rec = cell(e)
             rec.ledger_total += float(e.extra.get("total_core_seconds", 0.0))
             for mech, v in e.extra.get("mechanisms", {}).items():
                 rec.mechanisms[mech] = rec.mechanisms.get(mech, 0.0) + float(v)
-        elif e.kind in ("cell-resumed", "cell-cache-hit"):
-            # cell-cache-hit: the whole-sweep cache replay of older journals
-            cell(e.label).resumed = True
+        elif e.kind == "cell-resumed":
+            cell(e).resumed = True
         elif e.kind == "fault-injected":
             summary.faults_injected += 1
         elif e.kind == "checkpoint-corrupt":
             summary.checkpoint_corrupt += 1
         elif e.kind == "cell-retried":
-            cell(e.label).retries += 1
+            cell(e).retries += 1
             summary.retries_total += 1
         elif e.kind == "cell-failed":
-            cell(e.label).failed = True
+            cell(e).failed = True
             summary.failures_total += 1
         elif e.kind == "pool-rebuilt":
             summary.pool_rebuilds += 1

@@ -350,8 +350,8 @@ def run_campaign(
         The :class:`~repro.run.parallel.ParallelRunner` that runs every
         cell (default: ``ParallelRunner()``, serial).  Execution options
         live on it — ``jobs``, ``journal``, ``checkpoint``, ``faults``,
-        ``batch``, ``tracer``, ``metrics``, ``progress``, ``timeout``
-        and ``retries`` — and none of them changes the result: serial,
+        ``batch``, ``tracer``, ``progress``, ``timeout`` and
+        ``retries`` — and none of them changes the result: serial,
         pool, batched, resumed and traced runs give byte-identical
         reports.  A runner with a checkpoint store persists every cell
         as it finishes and resumes a crashed or repeated campaign

@@ -27,7 +27,6 @@ from repro.engine.tracing import NullTraceSink, TraceSink
 from repro.errors import SimulationError
 from repro.hostmodel.storage import StorageModel
 from repro.hostmodel.topology import HostTopology
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import LatencyRecorder
 from repro.obs.trace_spans import active_tracer
 from repro.platforms.base import ExecutionPlatform
@@ -170,13 +169,13 @@ def prepare_run(
     )
 
 
-def finish_run(
-    prep: PreparedRun,
-    result: EngineResult,
-    *,
-    metrics: MetricsRegistry | None = None,
-) -> RunResult:
-    """Package an engine result exactly as :func:`run_once` would."""
+def finish_run(prep: PreparedRun, result: EngineResult) -> RunResult:
+    """Package an engine result exactly as :func:`run_once` would.
+
+    The result carries the run's perf counters; campaign metrics are
+    built from the journal (:func:`repro.obs.export.journal_to_metrics`),
+    never here.
+    """
     workload = prep.workload
     value = (
         result.mean_response
@@ -189,21 +188,6 @@ def finish_run(
     lat = prep.latency
     lat.observe_many("op", result.op_responses)
     lat.observe("cell", result.makespan)
-    if metrics is not None:
-        c = result.counters
-        metrics.counter(
-            "repro_sim_runs_total", "simulated repetitions executed"
-        ).inc()
-        metrics.counter(
-            "repro_sim_sched_events_total", "simulator scheduling events"
-        ).inc(c.sched_events)
-        metrics.counter(
-            "repro_sim_migrations_total",
-            "expected simulator thread migrations",
-        ).inc(c.migrations + c.wake_migrations)
-        metrics.counter(
-            "repro_sim_irqs_total", "simulated IO interrupts"
-        ).inc(c.irqs)
     return RunResult(
         workload=workload.name,
         platform_label=prep.platform.label(),
@@ -229,7 +213,6 @@ def run_once(
     rng: np.random.Generator | None = None,
     rep: int = 0,
     trace: TraceSink | None = None,
-    metrics: MetricsRegistry | None = None,
     profiler: "SchedProfiler | None" = None,
 ) -> RunResult:
     """Execute one configuration once and return its result.
@@ -251,18 +234,16 @@ def run_once(
         Repetition index recorded in the result.
     trace:
         Optional engine event sink.
-    metrics:
-        Optional metrics registry; when given, the run's simulator
-        counters (scheduling events, migrations, IRQs) are folded into
-        it.  The default (None) skips all bookkeeping.
     profiler:
         Optional :class:`~repro.trace.schedprof.SchedProfiler`; when
         given it observes this run and ``profiler.profile()`` is valid
         afterwards.  Results are byte-identical with and without it.
 
-    The run's simulated latency streams (``op``, ``cell``, and the
-    engine's ``io_wait`` / ``comm_wait`` / ``barrier_wait``) ride on
-    ``RunResult.dist`` as quantile sketches.
+    The run's simulator counters ride on ``RunResult.counters`` and its
+    simulated latency streams (``op``, ``cell``, and the engine's
+    ``io_wait`` / ``comm_wait`` / ``barrier_wait``) on ``RunResult.dist``
+    as quantile sketches; the runner journals both per cell, and
+    campaign metrics are built from that journal.
 
     When a span tracer has an open inline cell frame
     (:func:`repro.obs.trace_spans.active_tracer`), the two engine
@@ -284,7 +265,7 @@ def run_once(
             trace=trace,
             profiler=profiler,
         )
-        return finish_run(prep, prep.sim.run(), metrics=metrics)
+        return finish_run(prep, prep.sim.run())
     start = time.time()
     t0 = time.perf_counter()
     prep = prepare_run(
@@ -302,4 +283,4 @@ def run_once(
     t0 = time.perf_counter()
     engine_result = prep.sim.run()
     tracer.phase("advance", start, time.perf_counter() - t0, rep=rep)
-    return finish_run(prep, engine_result, metrics=metrics)
+    return finish_run(prep, engine_result)

@@ -33,9 +33,12 @@ including cells replayed from checkpoints (delivered as
 
 Telemetry: attach a :class:`~repro.obs.journal.Journal` to stream
 structured lifecycle events (cell queued / started / resumed / retried
-/ failed / finished, worker identity, durations, pool rebuilds) and a
-:class:`~repro.obs.metrics.MetricsRegistry` to accumulate campaign
-counters.  Both default to off; results never depend on them.
+/ failed / finished, worker identity, durations, pool rebuilds).  Every
+per-cell event of a :class:`CellTask` names its cell by store key
+(:func:`~repro.run.persistence.task_fingerprint`), so cells sharing a
+label stay distinct; campaign metrics are built from the journal
+(:func:`~repro.obs.export.journal_to_metrics`).  The journal defaults to
+off; results never depend on it.
 
 Fault injection and resume: attach a
 :class:`~repro.faults.FaultInjector` to fire a deterministic
@@ -57,7 +60,7 @@ import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.engine.batch import run_batched
 from repro.errors import (
@@ -77,7 +80,6 @@ from repro.faults import (
 )
 from repro.hostmodel.topology import HostTopology
 from repro.obs.journal import NULL_JOURNAL, Journal
-from repro.obs.metrics import CELL_SECONDS_BUCKETS, MetricsRegistry
 from repro.obs.sketch import merge_stream_sketches
 from repro.obs.trace_spans import NULL_TRACER
 from repro.platforms.base import PlatformKind
@@ -87,12 +89,10 @@ from repro.rng import RngFactory, StreamSpec
 from repro.run.calibration import Calibration
 from repro.run.execution import finish_run, prepare_run, run_cell
 from repro.run.experiment import ExperimentSpec
+from repro.run.persistence import CellStore, task_fingerprint
 from repro.run.results import ExperimentResult, RunResult, SweepResult
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads.base import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.run.persistence import CellStore
 
 __all__ = [
     "CachedCell",
@@ -316,7 +316,8 @@ class _Unit:
     runs :func:`_execute_batch_group` over a tuple of shape-compatible
     :class:`CellTask` payloads and returns one run list per cell.
     ``slots`` are the unit's positions in the payload list of
-    :meth:`ParallelRunner.run_tasks` and ``labels`` their cell labels.
+    :meth:`ParallelRunner.run_tasks`, ``labels`` their cell labels and
+    ``cells`` their journal cell keys (``""`` where there is none).
     """
 
     fn: Callable
@@ -324,7 +325,13 @@ class _Unit:
     label: str
     slots: tuple[int, ...]
     labels: tuple[str, ...]
+    cells: tuple[str, ...]
     group: bool = False
+
+    @property
+    def cell(self) -> str:
+        """Journal cell key of a scalar unit (``""`` for a group)."""
+        return "" if self.group else self.cells[0]
 
 
 @dataclass
@@ -397,14 +404,10 @@ class ParallelRunner:
     journal:
         Optional :class:`~repro.obs.journal.Journal`; when attached, the
         runner streams cell lifecycle events into it, with the worker
-        identity and timing every attempt reports.  Every executed cell
-        also journals its merged latency sketches as a ``cell-dist``
-        event, identical across the inline, pool, and batched legs.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` accumulating
-        campaign counters (cells completed, retries, resumed cells,
-        simulator event totals) and the ``op`` / ``cell`` latency
-        summaries.
+        identity and timing every attempt reports and the cell's store
+        key.  Every executed cell also journals its merged latency
+        sketches as a ``cell-dist`` event, identical across the inline,
+        pool, and batched legs.
     mp_context:
         Optional :mod:`multiprocessing` context for the pool (useful to
         force ``spawn`` in tests).
@@ -447,10 +450,9 @@ class ParallelRunner:
         retries: int = 1,
         progress: ProgressFn | None = None,
         journal: Journal | None = None,
-        metrics: MetricsRegistry | None = None,
         mp_context=None,
         faults: FaultInjector | None = None,
-        checkpoint: "CellStore | None" = None,
+        checkpoint: CellStore | None = None,
         batch: bool = False,
         tracer=None,
     ) -> None:
@@ -465,7 +467,6 @@ class ParallelRunner:
         self.retries = retries
         self.progress = progress
         self.journal = journal or NULL_JOURNAL
-        self.metrics = metrics
         self.mp_context = mp_context
         self.faults = faults or NULL_INJECTOR
         self.checkpoint = checkpoint
@@ -484,55 +485,52 @@ class ParallelRunner:
         whose checkpoint probe verifies are replayed without execution
         (reported as :class:`CachedCell` progress payloads)
         and every freshly-executed task is checkpointed as it completes.
+
+        A cell task's key (:func:`~repro.run.persistence.task_fingerprint`)
+        names it in the store and in the journal, so it is computed only
+        when either is attached.
         """
         items = list(payloads)
         store = self.checkpoint
-        keys = [None if store is None else store.key_for(p) for p in items]
+        journal = self.journal
+        keys = (
+            [task_fingerprint(p) for p in items]
+            if store is not None or journal.enabled
+            else [None] * len(items)
+        )
         tasks = _TaskSet(items, keys, [None] * len(items))
         pending: list[int] = []
         resumed: list[int] = []
         for i, payload in enumerate(items):
             label = _label(payload, i)
-            if keys[i] is not None:
-                runs, state = store.load(keys[i])
+            key = keys[i]
+            if store is not None and key is not None:
+                runs, state = store.load(key)
                 if state == "hit":
                     tasks.results[i] = runs
                     resumed.append(i)
-                    if self.journal.enabled:
-                        self.journal.record(
-                            "cell-resumed", label=label, cached=True,
-                            detail=keys[i],
+                    if journal.enabled:
+                        journal.record(
+                            "cell-resumed", label=label, cell=key,
+                            cached=True,
                         )
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "repro_cells_completed_total",
-                            "campaign cells resolved (run or cached)",
-                        ).inc()
-                        self.metrics.counter(
-                            "repro_cells_resumed_total",
-                            "cells replayed from resume checkpoints",
-                        ).inc()
                     continue
-                if state == "corrupt":
-                    if self.journal.enabled:
-                        self.journal.record(
-                            "checkpoint-corrupt", label=label,
-                            detail=keys[i],
-                        )
+                if state == "corrupt" and journal.enabled:
+                    journal.record("checkpoint-corrupt", label=label, cell=key)
             pending.append(i)
-            if self.journal.enabled:
-                self.journal.record("cell-queued", label=label)
+            if journal.enabled:
+                journal.record("cell-queued", label=label, cell=key or "")
 
         for i in resumed:
             tasks.done += 1
             self._report(tasks.done, len(items), CachedCell(items[i]))
         if pending:
-            for units in self._units(worker, items, pending):
+            for units in self._units(worker, tasks, pending):
                 self._execute(units, tasks)
         return tasks.results
 
     def _units(
-        self, worker: Callable, items: list, pending: list[int]
+        self, worker: Callable, tasks: _TaskSet, pending: list[int]
     ) -> list[list[_Unit]]:
         """Split the pending payloads into execution units, in run order.
 
@@ -547,9 +545,14 @@ class ParallelRunner:
         scalar task can abort the campaign.
         """
 
+        items = tasks.items
+
+        def cells(idxs) -> tuple[str, ...]:
+            return tuple(tasks.keys[i] or "" for i in idxs)
+
         def scalar(i: int) -> _Unit:
             label = _label(items[i], i)
-            return _Unit(worker, items[i], label, (i,), (label,))
+            return _Unit(worker, items[i], label, (i,), (label,), cells((i,)))
 
         if not (self.batch and worker is execute_cell):
             return [[scalar(i) for i in pending]]
@@ -593,7 +596,8 @@ class ParallelRunner:
             group = tuple(items[i] for i in idxs)
             group_units.append(_Unit(
                 _execute_batch_group, group, _group_label(group), tuple(idxs),
-                tuple(_label(t, i) for t, i in zip(group, idxs)), group=True,
+                tuple(_label(t, i) for t, i in zip(group, idxs)), cells(idxs),
+                group=True,
             ))
         return [group_units, [scalar(i) for i in scalar_idx]]
 
@@ -664,6 +668,7 @@ class ParallelRunner:
                         self._record_failure(
                             label, "", attempts[u],
                             f"timeout after {self.timeout}s", final=True,
+                            cell=unit.cell,
                         )
                         raise ParallelExecutionError(
                             label, attempts[u], "timeout",
@@ -678,6 +683,7 @@ class ParallelRunner:
                         if attempts[u] > self.retries:
                             self._record_failure(
                                 label, "", attempts[u], repr(exc), final=True,
+                                cell=unit.cell,
                             )
                             raise ParallelExecutionError(
                                 label, attempts[u], "broken-pool", str(exc),
@@ -689,11 +695,6 @@ class ParallelRunner:
                             self.journal.record(
                                 "pool-rebuilt", label=label, detail=repr(exc)
                             )
-                        if self.metrics is not None:
-                            self.metrics.counter(
-                                "repro_pool_rebuilds_total",
-                                "worker-pool rebuilds after breakage",
-                            ).inc()
                         for j in range(u, n):
                             submit(j)
                         continue
@@ -718,7 +719,7 @@ class ParallelRunner:
                             final = attempts[u] > self.retries
                             self._record_failure(
                                 label, wid, attempts[u], repr(cause),
-                                final=final,
+                                final=final, cell=unit.cell,
                             )
                             if final:
                                 raise ParallelExecutionError(
@@ -747,9 +748,9 @@ class ParallelRunner:
         if self.journal.enabled:
             wid = _worker_id()
             started = time.time()
-            for label in unit.labels:
+            for label, cell in zip(unit.labels, unit.cells):
                 self.journal.record(
-                    "cell-started", label=label, worker=wid,
+                    "cell-started", label=label, cell=cell, worker=wid,
                     attempt=attempt, ts=started,
                 )
         tracer = self.tracer
@@ -784,18 +785,20 @@ class ParallelRunner:
 
         Stores the cell's result, checkpoints it (traced as a
         ``checkpoint`` phase), closes the inline cell frame or emits the
-        cell's leaf span, journals and counts the completion, and
-        reports progress.
+        cell's leaf span, journals the completion under the cell's key,
+        and reports progress.
         """
         tracer = self.tracer
+        store = self.checkpoint
         outs = obs.result if unit.group else [obs.result]
-        for i, label, result in zip(unit.slots, unit.labels, outs):
+        for i, label, cell, result in zip(
+            unit.slots, unit.labels, unit.cells, outs
+        ):
             tasks.results[i] = result
-            key = tasks.keys[i]
-            if key is not None and isinstance(result, list):
+            if store is not None and cell and isinstance(result, list):
                 put_start = time.time()
                 t0 = time.perf_counter()
-                self.checkpoint.put(key, result, label=label)
+                store.put(cell, result, label=label)
                 if tracer.enabled:
                     tracer.phase(
                         "checkpoint", put_start, time.perf_counter() - t0
@@ -808,10 +811,11 @@ class ParallelRunner:
                     worker=obs.worker, attempt=attempt,
                     **({"batched": True} if unit.group else {}),
                 )
-            self._observe_completion(
-                label, result, worker=obs.worker, attempt=attempt,
-                started=obs.started, duration=obs.duration,
-            )
+            if self.journal.enabled:
+                self._journal_completion(
+                    label, cell, result, worker=obs.worker, attempt=attempt,
+                    started=obs.started, duration=obs.duration,
+                )
             tasks.done += 1
             self._report(tasks.done, len(tasks.items), tasks.items[i])
 
@@ -840,51 +844,47 @@ class ParallelRunner:
 
     # -- telemetry ----------------------------------------------------------
 
-    def _observe_completion(
+    def _journal_completion(
         self,
         label: str,
+        cell: str,
         result,
         *,
         worker: str,
         attempt: int,
-        started: float | None,
-        duration: float | None,
+        started: float,
+        duration: float,
     ) -> None:
-        """Journal + metrics bookkeeping for one successfully run cell."""
-        sim = _sim_counters(result)
-        if self.journal.enabled:
-            extra = dict(sim)
-            if started is not None:
-                extra["started"] = started
+        """Journal one successfully run cell: ``cell-finished`` with its
+        simulator counters, then ``cell-ledger`` and ``cell-dist``."""
+        extra = _sim_counters(result)
+        extra["started"] = started
+        self.journal.record(
+            "cell-finished",
+            label=label,
+            cell=cell,
+            worker=worker,
+            attempt=attempt,
+            duration=duration,
+            extra=extra,
+        )
+        ledger = _cell_ledger(result)
+        if ledger is not None:
             self.journal.record(
-                "cell-finished",
+                "cell-ledger",
                 label=label,
+                cell=cell,
                 worker=worker,
                 attempt=attempt,
-                duration=duration or 0.0,
-                extra=extra,
+                extra=ledger,
             )
-            ledger = _cell_ledger(result)
-            if ledger is not None:
-                self.journal.record(
-                    "cell-ledger",
-                    label=label,
-                    worker=worker,
-                    attempt=attempt,
-                    extra=ledger,
-                )
-        m = self.metrics
-        # the per-cell merge only feeds the journal and the metrics
-        dist = (
-            _cell_dist(result)
-            if self.journal.enabled or m is not None
-            else None
-        )
-        if dist is not None and self.journal.enabled:
+        dist = _cell_dist(result)
+        if dist is not None:
             first = result[0]
             self.journal.record(
                 "cell-dist",
                 label=label,
+                cell=cell,
                 worker=worker,
                 attempt=attempt,
                 extra={
@@ -896,57 +896,27 @@ class ParallelRunner:
                     },
                 },
             )
-        if m is not None and dist is not None:
-            for stream, metric, help_text in (
-                ("op", "repro_sim_op_response_seconds",
-                 "simulated per-operation response time"),
-                ("cell", "repro_sim_makespan_seconds",
-                 "simulated per-repetition wall time"),
-            ):
-                sk = dist.get(stream)
-                if sk is not None and sk.count:
-                    m.summary(metric, help_text).merge_sketch(sk)
-        if m is not None:
-            m.counter(
-                "repro_cells_completed_total",
-                "campaign cells resolved (run or cached)",
-            ).inc()
-            if duration is not None:
-                m.histogram(
-                    "repro_cell_seconds", CELL_SECONDS_BUCKETS, "cell wall time"
-                ).observe(duration)
-            if sim:
-                m.counter(
-                    "repro_sim_runs_total", "simulated repetitions executed"
-                ).inc(sim["runs"])
-                m.counter(
-                    "repro_sim_sched_events_total", "simulator scheduling events"
-                ).inc(sim["sched_events"])
-                m.counter(
-                    "repro_sim_migrations_total",
-                    "expected simulator thread migrations",
-                ).inc(sim["migrations"])
 
     def _record_failure(
-        self, label: str, worker: str, attempt: int, detail: str, *, final: bool
+        self,
+        label: str,
+        worker: str,
+        attempt: int,
+        detail: str,
+        *,
+        final: bool,
+        cell: str = "",
     ) -> None:
-        """Journal + metrics bookkeeping for one failed attempt."""
+        """Journal one failed attempt (``cell-failed`` when ``final``)."""
         if self.journal.enabled:
             self.journal.record(
                 "cell-failed" if final else "cell-retried",
                 label=label,
+                cell=cell,
                 worker=worker,
                 attempt=attempt,
                 detail=detail,
             )
-        if self.metrics is not None:
-            name, help_text = (
-                ("repro_cell_failures_total", "cells that failed permanently")
-                if final
-                else ("repro_cell_retries_total",
-                      "cell attempts that failed and were retried")
-            )
-            self.metrics.counter(name, help_text).inc()
 
     # -- sweep execution ----------------------------------------------------
 

@@ -264,12 +264,3 @@ class CellStore:
         if not self.directory.exists():
             return 0
         return sum(1 for _ in self.directory.glob("cell-*.json"))
-
-    def clear(self) -> int:
-        """Delete every checkpoint; returns the number removed."""
-        if not self.directory.exists():
-            return 0
-        entries = list(self.directory.glob("cell-*.json"))
-        for entry in entries:
-            entry.unlink()
-        return len(entries)

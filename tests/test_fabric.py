@@ -50,7 +50,8 @@ from repro.fabric import (
     shard_ranges,
 )
 from repro.hostmodel.topology import HostTopology, small_host
-from repro.obs.journal import read_journal
+from repro.obs import SCHEMA_VERSION, journal_to_metrics, summarize_journal
+from repro.obs.journal import MemoryJournal, read_journal
 from repro.run.calibration import Calibration
 from repro.run.campaign import run_campaign
 from repro.run.parallel import ParallelRunner, execute_cell
@@ -298,6 +299,35 @@ class TestFabricEquivalence:
         assert {"shard-started", "shard-finished", "cell-finished"} <= kinds
         metrics = json.loads(mpath.read_text())
         assert metrics["repro_cells_completed_total"]["value"] == info.cells
+        assert metrics == json.loads(
+            json.dumps(journal_to_metrics(events).to_json())
+        )
+        reps = sum(len(r.task.streams) for r in campaign_cells(_camp()))
+        assert metrics["repro_sim_runs_total"]["value"] == reps
+
+    def test_two_worker_summary_matches_serial(self, tmp_path):
+        """Fig. 7's six cells share three labels; the merged fabric
+        journal and the serial journal summarize to the same cells."""
+        camp = Campaign(reps_fast=1, include=("fig7",))
+        serial = MemoryJournal()
+        run_campaign(camp, runner=ParallelRunner(journal=serial))
+        init_queue(tmp_path / "q", camp, shards=2, lease_ttl=60.0)
+        run_worker(tmp_path / "q", "w1", wait=False, max_shards=1)
+        run_worker(tmp_path / "q", "w2", wait=False)
+        jpath = tmp_path / "merged.jsonl"
+        _, info = merge_queue(tmp_path / "q", journal_out=jpath)
+        assert info.workers == ["w1", "w2"]
+
+        def view(summary):
+            return (
+                summary.n_cells, summary.n_executed, summary.n_resumed,
+                summary.sched_events_total,
+                {k: (c.migrations, c.runs) for k, c in summary.cells.items()},
+            )
+
+        merged = summarize_journal(read_journal(jpath, strict=True))
+        assert view(merged) == view(summarize_journal(serial.events))
+        assert merged.n_cells == 6
 
 
 # -- crash / chaos ---------------------------------------------------------
@@ -385,7 +415,10 @@ class TestJournalMergeEdgeCases:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(
                 json.dumps(
-                    {"ts": 0.0, "kind": "from-the-future", "schema": 1}
+                    {
+                        "ts": 0.0, "kind": "from-the-future",
+                        "schema": SCHEMA_VERSION,
+                    }
                 )
                 + "\n"
             )

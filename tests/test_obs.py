@@ -26,6 +26,7 @@ from repro.obs import (
     NullJournal,
     journal_to_chrome,
     journal_to_folded,
+    journal_to_metrics,
     journal_to_prometheus,
     offcpu_to_folded,
     open_journal,
@@ -97,6 +98,12 @@ class TestEventSchema:
     def test_extra_omitted_when_empty(self):
         assert "extra" not in JournalEvent(ts=0.0, kind="cell-queued").to_dict()
 
+    def test_cell_key_round_trips_and_is_omitted_when_empty(self):
+        event = JournalEvent(ts=0.0, kind="cell-queued", label="a", cell="k")
+        assert event.to_dict()["cell"] == "k"
+        assert JournalEvent.from_dict(event.to_dict()) == event
+        assert "cell" not in JournalEvent(ts=0.0, kind="cell-queued").to_dict()
+
     def test_all_kinds_validate(self):
         for kind in EVENT_KINDS:
             validate_event(valid_event(kind=kind))
@@ -113,6 +120,7 @@ class TestEventSchema:
             valid_event(ts="yesterday"),
             valid_event(ts=True),
             valid_event(label=7),
+            valid_event(cell=7),
             valid_event(worker=7),
             valid_event(attempt=-1),
             valid_event(attempt=1.5),
@@ -311,16 +319,15 @@ class TestJournalFromRuns:
         )
 
         jl = MemoryJournal()
-        metrics = MetricsRegistry()
         run_platform_sweep(
             wl, insts, reps=1, seed=3,
-            runner=ParallelRunner(checkpoint=store, journal=jl, metrics=metrics),
+            runner=ParallelRunner(checkpoint=store, journal=jl),
         )
         hits = [e for e in jl.events if e.kind == "cell-resumed"]
         assert len(hits) == 7  # seven-platform sweep, one instance
         assert all(e.cached for e in hits)
         assert jl.count("cell-finished") == 0  # nothing actually ran
-        assert jl.count("cell-cache-hit") == 0
+        metrics = journal_to_metrics(jl.events)
         assert metrics.counter("repro_cells_resumed_total").value == 7
         summary = summarize_journal(jl.events)
         assert (summary.n_cells, summary.n_resumed, summary.n_executed) == (
@@ -359,11 +366,14 @@ class TestSummary:
             summarize_journal([])
 
     def test_cached_cells_counted(self):
-        """Replayed cells are one count, whether an older journal wrote
-        them as sweep-cache hits or a current one as checkpoint replays."""
+        """Replayed cells count once each, also when they share a label."""
         events = [
-            JournalEvent(ts=0.0, kind="cell-cache-hit", label="a", cached=True),
-            JournalEvent(ts=0.0, kind="cell-resumed", label="b", cached=True),
+            JournalEvent(
+                ts=0.0, kind="cell-resumed", label="a", cell="k1", cached=True
+            ),
+            JournalEvent(
+                ts=0.0, kind="cell-resumed", label="a", cell="k2", cached=True
+            ),
             JournalEvent(
                 ts=0.0, kind="cell-finished", label="c",
                 worker="pid-1", attempt=1, duration=1.0,
@@ -516,17 +526,6 @@ class TestMetricsRegistry:
         reg.summary("repro_lat_seconds")
         assert 'repro_lat_seconds{quantile="0.5"} NaN' in reg.to_prometheus()
 
-    def test_summary_snapshot_merge_is_exact(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.summary("s").observe_many([0.2] * 50)
-        b.summary("s").observe_many([0.8] * 50)
-        b.merge(a.snapshot())
-        merged = b.summary("s")
-        assert merged.count == 100
-        one = MetricsRegistry().summary("s")
-        one.observe_many([0.2] * 50 + [0.8] * 50)
-        assert merged.sketch.serialize() == one.sketch.serialize()
-
     def test_prometheus_escapes_help_and_label_values(self):
         """Exposition-format 0.0.4 escaping: backslash and newline in
         HELP text, plus double quotes in label values."""
@@ -548,22 +547,13 @@ class TestMetricsRegistry:
         assert _escape_label("a\\b") == "a\\\\b"
         assert _escape_label("a\nb") == "a\\nb"
 
-    def test_snapshot_merge_adds_counters(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(2)
-        a.histogram("h", (1.0,)).observe(0.5)
-        b.counter("c").inc(3)
-        b.histogram("h", (1.0,)).observe(0.7)
-        b.merge(a.snapshot())
-        assert b.counter("c").value == 5.0
-        assert b.histogram("h", (1.0,)).count == 2
-
     def test_runner_populates_metrics(self):
-        reg = MetricsRegistry()
+        jl = MemoryJournal()
         spec = tiny_spec()
-        runner = ParallelRunner(1, journal=MemoryJournal(), metrics=reg)
+        runner = ParallelRunner(1, journal=jl)
         tasks, _ = cell_tasks(spec)
         runner.run_tasks(execute_cell, tasks)
+        reg = journal_to_metrics(jl.events)
         assert reg.counter("repro_cells_completed_total").value == len(tasks)
         assert reg.counter("repro_sim_sched_events_total").value > 0
         assert reg.histogram("repro_cell_seconds").count == len(tasks)
@@ -681,3 +671,79 @@ class TestFlamegraph:
             parse_folded(["a;b -5"])
         with pytest.raises(AnalysisError):
             render_flamegraph_svg(["a 0"])  # zero total weight
+
+
+class TestCellIdentity:
+    """Cells are counted by store key; labels are display text only.
+
+    Fig. 7 runs the same three platform cells on two hosts, and
+    ``CellTask.label`` omits the host, so the six cells share three
+    labels; fig. 8 runs two workloads whose four cells share two.
+    """
+
+    @staticmethod
+    def _campaign(fig):
+        from repro.run.campaign import Campaign
+
+        return Campaign(reps_fast=1, include=(fig,))
+
+    def _journal(self, fig, runner_kw=None):
+        from repro.run.campaign import run_campaign
+
+        jl = MemoryJournal()
+        run_campaign(
+            self._campaign(fig),
+            runner=ParallelRunner(journal=jl, **(runner_kw or {})),
+        )
+        return jl
+
+    @pytest.mark.parametrize("fig, cells", [("fig7", 6), ("fig8", 4)])
+    def test_shared_labels_count_every_cell(self, fig, cells):
+        jl = self._journal(fig)
+        finished = [e for e in jl.events if e.kind == "cell-finished"]
+        assert len(finished) == cells
+        assert len({e.label for e in finished}) < cells
+        assert len({e.cell for e in finished}) == cells
+        summary = summarize_journal(jl.events)
+        assert (summary.n_cells, summary.n_executed) == (cells, cells)
+        text = journal_to_prometheus(jl.events)
+        assert f"repro_cells_completed_total {cells}\n" in text
+        assert f"repro_sim_runs_total {cells}\n" in text  # one rep each
+
+    def test_every_per_cell_event_carries_the_store_key(self):
+        from repro.fabric import campaign_cells
+
+        keys = {r.key for r in campaign_cells(self._campaign("fig7"))}
+        jl = self._journal("fig7")
+        per_cell = {
+            "cell-queued", "cell-started", "cell-finished", "cell-ledger",
+            "cell-dist",
+        }
+        seen = [e for e in jl.events if e.kind in per_cell]
+        assert {e.kind for e in seen} == per_cell
+        assert {e.cell for e in seen} == keys
+
+    def test_half_replayed_fig7_keeps_every_executed_cell(self, tmp_path):
+        from repro.fabric import campaign_cells
+
+        refs = campaign_cells(self._campaign("fig7"))
+        first_host = refs[0].task.host
+        store = CellStore(tmp_path / "cells")
+        seeded = [r for r in refs if r.task.host == first_host]
+        assert len(seeded) == 3
+        for r in seeded:
+            store.put(r.key, execute_cell(r.task), label=r.task.label)
+
+        jl = self._journal("fig7", {"checkpoint": store})
+        summary = summarize_journal(jl.events)
+        assert (summary.n_cells, summary.n_executed, summary.n_resumed) == (
+            6, 3, 3,
+        )
+        finished = {
+            e.cell: e.duration for e in jl.events if e.kind == "cell-finished"
+        }
+        assert set(finished) == {r.key for r in refs} - {r.key for r in seeded}
+        slowest = summary.slowest_cells(6)
+        assert len(slowest) == 3
+        assert sorted(c.duration for c in slowest) == sorted(finished.values())
+        assert "6 (3 executed, 3 replayed" in summary.render()

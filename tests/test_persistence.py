@@ -375,14 +375,3 @@ class TestCellStore:
         store = CellStore(tmp_path)
         assert store.key_for(3.5) is None
         assert store.key_for(object()) is None
-
-    def test_clear(self, tmp_path):
-        from repro.run.parallel import execute_cell
-        from repro.run.persistence import CellStore
-
-        store = CellStore(tmp_path)
-        task = _cell_task()
-        store.put(store.key_for(task), execute_cell(task))
-        assert store.clear() == 1
-        assert len(store) == 0
-        assert CellStore(tmp_path / "never-created").clear() == 0
