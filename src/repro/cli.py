@@ -28,8 +28,8 @@ Subcommands mirror the paper's artifacts:
     crash-safe ``--resume``, and a ``--fault-plan`` chaos schedule).
 ``obs``
     Summarize or export a recorded run journal (``summary``,
-    ``export --format chrome|folded|prom``), inspect trace spans
-    (``spans --format tree|chrome``), watch a live fleet (``top``),
+    ``export --format chrome|folded|prom``), print the trace span
+    tree (``spans``), watch a live fleet (``top``),
     or evaluate declarative health rules (``health --rules``, exits
     non-zero on violations).
 ``faults``
@@ -400,13 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive-round", type=int, default=1, metavar="N",
         help="extra reps granted per refinement round",
     )
-    rep_p.add_argument(
-        "--trace",
-        action="store_true",
-        help="emit hierarchical trace spans (campaign/sweep/cell/phase) "
-        "into the --journal stream; inspect with 'repro obs spans'; the "
-        "report stays byte-identical with tracing on or off",
-    )
+    # Spans are always recorded with --journal; the old opt-in is still
+    # accepted (and ignored) so existing command lines keep working.
+    rep_p.add_argument("--trace", action="store_true", help=argparse.SUPPRESS)
     rep_p.add_argument(
         "--load-sweep",
         action="store_true",
@@ -560,16 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     spans_p = obs_sub.add_parser(
         "spans",
-        help="trace spans recorded by --trace: tree or Chrome trace JSON",
+        help="indented tree of a journal's trace spans (for Chrome trace "
+        "JSON use 'obs export --format chrome')",
     )
     spans_p.add_argument("journal", help="journal file written by --journal")
-    spans_p.add_argument(
-        "--format",
-        default="tree",
-        choices=["tree", "chrome"],
-        help="tree = indented span tree, chrome = Perfetto trace JSON "
-        "(load at https://ui.perfetto.dev)",
-    )
     spans_p.add_argument(
         "--out", metavar="PATH", help="write here instead of stdout"
     )
@@ -691,13 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="workers advance shape-compatible cells together on the "
             "batched engine (bit-identical report)",
         )
-        p.add_argument(
-            "--trace",
-            action="store_true",
-            help="mint a trace id into the queue manifest; workers emit "
-            "trace spans and 'fabric merge --trace-out' exports the "
-            "unified fleet timeline",
-        )
 
     fi_p = fab_sub.add_parser(
         "init", help="commit a campaign to a new shard queue directory"
@@ -755,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fr_p.add_argument(
         "--trace-out", metavar="PATH",
-        help="(with --trace) write the merged Chrome trace here",
+        help="write the merged Chrome trace here",
     )
     _fab_campaign_args(fr_p)
 
@@ -774,8 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fm_p.add_argument(
         "--trace-out", metavar="PATH",
-        help="write the merged Chrome trace (requires a queue "
-        "initialised with --trace)",
+        help="write the merged Chrome trace here",
     )
 
     fs_p = fab_sub.add_parser(
@@ -1199,27 +1181,29 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def _campaign_runner(args: argparse.Namespace, trace_key: str | None = None):
+def _campaign_runner(args: argparse.Namespace, campaign: Campaign):
     """One :class:`ParallelRunner` built from a campaign command's flags.
 
-    Closes the tracer, then the journal, on the way out; after a clean
-    run, prints which faults fired.
+    With ``--journal``, the runner also records trace spans into the
+    journal, under a trace id derived from ``campaign`` so that a
+    ``--resume`` run extends the same trace.  Closes the tracer, then
+    the journal, on the way out; after a clean run, prints the trace id
+    and which faults fired.
     """
     jobs = _jobs(args)
     if args.resume and not args.checkpoint:
         raise ReproError("--resume needs --checkpoint DIR")
     checkpoint = CellStore(args.checkpoint) if args.checkpoint else None
     plan = FaultPlan.load(args.fault_plan) if args.fault_plan else None
-    if trace_key is not None and not args.journal:
-        raise ReproError(
-            "--trace needs --journal (spans ride in the journal stream)"
-        )
     journal = open_journal(args.journal, append=args.resume)
     tracer = None
-    if trace_key is not None:
+    if args.journal:
         from repro.obs.trace_spans import SpanTracer, TraceContext, mint_trace_id
 
-        tracer = SpanTracer(journal, TraceContext(mint_trace_id(trace_key)))
+        # Deterministic, so a resumed run extends the same trace; the
+        # "report:" prefix keeps the ids of earlier report traces.
+        key = f"report:{campaign.seed}:{','.join(campaign.include)}"
+        tracer = SpanTracer(journal, TraceContext(mint_trace_id(key)))
     runner = ParallelRunner(
         jobs,
         journal=journal,
@@ -1233,6 +1217,11 @@ def _campaign_runner(args: argparse.Namespace, trace_key: str | None = None):
     finally:
         runner.tracer.close()
         journal.close()
+    if tracer is not None:
+        print(
+            f"trace {tracer.trace_id}: inspect with "
+            f"'repro obs spans {args.journal}'"
+        )
     if runner.faults.fired:
         sites = ", ".join(sorted(runner.faults.fired_sites()))
         print(f"faults fired: {len(runner.faults.fired)} ({sites})")
@@ -1257,12 +1246,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             target_rel_ci=args.adaptive_target,
             round_reps=args.adaptive_round,
         )
-    trace_key = None
-    if args.trace:
-        # Deterministic: the same campaign traced twice lands in the
-        # same trace, so resumed runs extend rather than fork it.
-        trace_key = f"report:{campaign.seed}:{','.join(campaign.include)}"
-    with _campaign_runner(args, trace_key) as runner:
+    with _campaign_runner(args, campaign) as runner:
         print(f"running campaign {campaign.include} with {runner.jobs} job(s) ...")
         result = run_campaign(campaign, runner=runner, reps_policy=reps_policy)
         text = generate_report(result)
@@ -1271,11 +1255,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"wrote {args.out} ({len(text)} chars)")
         if args.journal:
             print(f"journal: {args.journal} (inspect with 'repro obs summary')")
-        if runner.tracer.enabled:
-            print(
-                f"trace {runner.tracer.trace_id}: inspect with "
-                f"'repro obs spans {args.journal}'"
-            )
     return 0
 
 
@@ -1297,7 +1276,7 @@ def _cmd_loadcurve(args: argparse.Namespace) -> int:
     campaign = Campaign(
         seed=args.seed, include=("loadcurve",), loadcurve=config
     )
-    with _campaign_runner(args) as runner:
+    with _campaign_runner(args, campaign) as runner:
         print(
             f"sweeping {config.workload} over "
             f"{','.join(f'{r:g}' for r in config.rates)} req/s "
@@ -1353,9 +1332,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     # export
     if args.format == "chrome":
-        from repro.obs.export import journal_to_chrome
+        from repro.obs.trace_spans import spans_to_chrome
 
-        text = json.dumps(journal_to_chrome(events))
+        text = json.dumps(spans_to_chrome(_journal_spans(events), events))
     elif args.format == "folded":
         from repro.obs.export import journal_to_folded
 
@@ -1468,25 +1447,25 @@ def _cmd_obs_dist(args: argparse.Namespace, events) -> int:
     return 0
 
 
-def _cmd_obs_spans(args: argparse.Namespace, events) -> int:
-    """``repro obs spans``: render recorded trace spans."""
-    from repro.obs.trace_spans import (
-        merge_spans,
-        render_span_tree,
-        spans_from_journal,
-        spans_to_chrome,
-    )
+def _journal_spans(events) -> list:
+    """The journal's trace spans, merged; raises when it holds none."""
+    from repro.obs.trace_spans import merge_spans, spans_from_journal
 
     spans = merge_spans(spans_from_journal(events))
     if not spans:
         raise ReproError(
-            "the journal holds no span events; re-run the campaign with "
-            "--trace (or init the fabric queue with --trace)"
+            "the journal holds no span events; journals written by "
+            "--journal carry them (a Python-API runner needs tracer=)"
         )
-    if args.format == "chrome":
-        text = json.dumps(spans_to_chrome(spans, events), sort_keys=True) + "\n"
-    else:
-        text = render_span_tree(spans) + "\n"
+    return spans
+
+
+def _cmd_obs_spans(args: argparse.Namespace, events) -> int:
+    """``repro obs spans``: print the recorded trace span tree."""
+    from repro.obs.trace_spans import render_span_tree
+
+    spans = _journal_spans(events)
+    text = render_span_tree(spans) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -1614,15 +1593,12 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             shards=args.shards,
             lease_ttl=args.lease_ttl,
             batch=args.batch,
-            trace=args.trace,
         )
         manifest = queue.manifest()
         print(
             f"initialized queue {args.queue}: {manifest['cells']} cells "
             f"in {manifest['shards']} shard(s), plan {manifest['plan']}"
         )
-        if manifest.get("trace"):
-            print(f"trace: {manifest['trace']}")
         print("start workers with: repro fabric work "
               f"{args.queue} --worker <id>")
         return 0
@@ -1657,7 +1633,6 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
             shards=args.shards,
             lease_ttl=args.lease_ttl,
             batch=args.batch,
-            trace=args.trace,
             exist_ok=args.resume,
         )
         print(

@@ -26,7 +26,6 @@ writes are byte-identical-or-raise.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -45,9 +44,9 @@ from repro.obs.events import JournalEvent
 from repro.obs.journal import read_journal
 from repro.obs.export import journal_to_metrics
 from repro.obs.trace_spans import (
-    TRACE_ENV,
     Span,
     merge_spans,
+    mint_trace_id,
     span_id_for,
     spans_from_journal,
     spans_to_chrome,
@@ -79,7 +78,6 @@ def init_queue(
     shards: int = 4,
     lease_ttl: float = 30.0,
     batch: bool = False,
-    trace: bool = False,
     exist_ok: bool = False,
 ) -> ShardQueue:
     """Commit ``campaign`` to a shard queue at ``directory``.
@@ -87,18 +85,14 @@ def init_queue(
     With ``exist_ok=True`` an existing queue is reused *iff* its plan
     fingerprint matches the requested campaign (that is the resume
     path); a mismatch raises instead of silently mixing plans.  The
-    resume path keeps the existing manifest verbatim — including its
-    ``trace`` id (or absence of one), so a resumed campaign's spans
-    stay in the original trace.
-
-    With ``trace=True`` the manifest carries a trace id minted from the
-    plan fingerprint; workers claiming shards emit trace spans under it
-    (see :mod:`repro.obs.trace_spans`).
+    resume path keeps the existing manifest verbatim, and the trace id
+    derives from the plan, so a resumed campaign's spans stay in the
+    original trace.
     """
     directory = Path(directory)
     campaign = campaign or Campaign()
     manifest = manifest_for_campaign(
-        campaign, shards=shards, lease_ttl=lease_ttl, batch=batch, trace=trace,
+        campaign, shards=shards, lease_ttl=lease_ttl, batch=batch,
     )
     if (directory / "manifest.json").exists():
         if not exist_ok:
@@ -131,20 +125,12 @@ def launch_workers(
     """Spawn ``n`` ``repro fabric work`` subprocesses against a queue.
 
     Workers inherit this process's environment (so ``PYTHONPATH``
-    arrangements survive) and are named ``w1..wN``.  When the queue
-    manifest carries a ``trace`` id, it is additionally propagated via
-    the ``REPRO_TRACE_ID`` environment variable — the fabric's
-    traceparent header — so workers cross-check manifest and ambient
-    context before emitting spans.  The caller waits on the returned
-    handles; a worker that died on an injected fault exits non-zero
-    and leaves its lease to be reclaimed.
+    arrangements survive) and are named ``w1..wN``.  The caller waits
+    on the returned handles; a worker that died on an injected fault
+    exits non-zero and leaves its lease to be reclaimed.
     """
     if n < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {n}")
-    env = None
-    trace_id = ShardQueue(directory).manifest().get("trace")
-    if trace_id:
-        env = {**os.environ, TRACE_ENV: str(trace_id)}
     procs = []
     for i in range(n):
         cmd = [
@@ -153,7 +139,7 @@ def launch_workers(
         ]
         if fault_plan is not None:
             cmd += ["--fault-plan", str(fault_plan)]
-        procs.append(subprocess.Popen(cmd, env=env))
+        procs.append(subprocess.Popen(cmd))
     return procs
 
 
@@ -173,11 +159,10 @@ def merge_queue(
     its cells — and reassembles the exact serial result.  Optionally
     writes the merged winning-generation journal (JSONL, shard order),
     the metrics built from that journal
-    (:func:`~repro.obs.export.journal_to_metrics`, JSON), and —
-    for a queue initialised with ``trace=True`` — the unified Chrome
-    trace (``trace_out``): the winning-generation spans of every shard
-    merged under a synthesized campaign root, with lease reclaims,
-    retries, and batch fallbacks rendered as flow arrows (see
+    (:func:`~repro.obs.export.journal_to_metrics`, JSON), and the
+    unified Chrome trace (``trace_out``): the winning-generation spans
+    of every shard merged under a synthesized campaign root, with lease
+    reclaims, retries, and batch fallbacks rendered as flow arrows (see
     :func:`repro.obs.trace_spans.spans_to_chrome`).
     """
     queue = ShardQueue(directory)
@@ -225,16 +210,11 @@ def merge_queue(
     spans = merge_spans(spans, winning=winning)
     info.spans = len(spans)
     if trace_out is not None:
-        trace_id = manifest.get("trace")
-        if not trace_id:
-            raise ConfigurationError(
-                f"queue at {directory} was initialised without --trace; "
-                "no spans to export (re-init the queue with --trace)"
-            )
         if spans:
             # The campaign root span lives in no worker journal — every
             # shard span points at it by deterministic id, so the merge
             # synthesizes it over the observed span envelope.
+            trace_id = mint_trace_id(manifest["plan"])
             start = min(s.start for s in spans)
             end = max(s.end for s in spans)
             root = Span(

@@ -27,7 +27,6 @@ from repro.analysis.loadcurve import LoadCurveConfig, LoadCurveResult, build_loa
 from repro.analysis.stats import StatSummary, summarize
 from repro.errors import ConfigurationError
 from repro.hostmodel.topology import r830_host, small_host
-from repro.obs.trace_spans import mint_trace_id
 from repro.platforms.registry import make_platform
 from repro.run.calibration import Calibration
 from repro.run.campaign import (
@@ -127,7 +126,6 @@ def manifest_for_campaign(
     shards: int,
     lease_ttl: float,
     batch: bool = False,
-    trace: bool = False,
 ) -> dict:
     """The JSON manifest committing a campaign to a shard queue.
 
@@ -137,11 +135,9 @@ def manifest_for_campaign(
     its own serialization to round-trip faithfully, and silently
     approximating it would break the plan fingerprint's guarantee.
 
-    With ``trace=True`` the manifest additionally carries a ``trace``
-    id minted deterministically from the plan fingerprint
-    (:func:`repro.obs.trace_spans.mint_trace_id`); workers that claim
-    shards from the queue emit trace spans under it, so the merged
-    campaign journal yields one causal span tree.
+    The fleet's trace id is not stored: workers and the merge derive it
+    from ``plan`` (:func:`repro.obs.trace_spans.mint_trace_id`), so the
+    merged campaign journal yields one causal span tree.
     """
     if campaign.calib != Calibration():
         raise ConfigurationError(
@@ -178,8 +174,6 @@ def manifest_for_campaign(
         # key is only present when the sweep is, so manifests of
         # figure-only campaigns are unchanged.
         manifest["loadcurve"] = campaign.loadcurve.to_dict()
-    if trace:
-        manifest["trace"] = mint_trace_id(plan)
     return manifest
 
 

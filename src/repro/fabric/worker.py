@@ -19,18 +19,16 @@ generation's journal.  A worker that merely *loses* its lease
 (:class:`~repro.errors.LeaseLostError` from a heartbeat) journals
 ``shard-lost``, abandons the shard cleanly, and moves on.
 
-When the queue manifest carries a ``trace`` id (``fabric init
---trace``), every lease additionally emits trace spans — a shard root
-(``shard-NNNN-gG``, parented on the campaign root by deterministic id),
-a worker span, and the runner's cell/phase spans — into the same
-per-(shard, generation) journal, so :func:`~repro.fabric.merge_queue`
-can assemble the fleet-wide timeline (see
-:mod:`repro.obs.trace_spans`).
+Every lease also emits trace spans under the trace id minted from the
+manifest's plan fingerprint — a shard root (``shard-NNNN-gG``,
+parented on the campaign root by deterministic id), a worker span, and
+the runner's cell/phase spans — into the same per-(shard, generation)
+journal, so :func:`~repro.fabric.merge_queue` can assemble the
+fleet-wide timeline (see :mod:`repro.obs.trace_spans`).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,38 +39,15 @@ from repro.fabric.plan import campaign_cells, campaign_from_manifest, plan_finge
 from repro.fabric.queue import ShardQueue
 from repro.obs.journal import JsonlJournal
 from repro.obs.trace_spans import (
-    NULL_TRACER,
-    TRACE_ENV,
     SpanTracer,
     TraceContext,
+    mint_trace_id,
     span_id_for,
 )
 from repro.run.parallel import ParallelRunner, execute_cell
 from repro.run.persistence import CellStore
 
 __all__ = ["WorkerReport", "run_worker"]
-
-
-def _trace_id_for(manifest: dict, directory: Path) -> str:
-    """Resolve the trace id a worker should emit spans under.
-
-    The queue manifest is the source of truth; the ``REPRO_TRACE_ID``
-    environment variable is the propagated traceparent from
-    :func:`~repro.fabric.coordinator.launch_workers`.  When both are
-    present they must agree — a mismatch means the worker was pointed at
-    a different queue than the coordinator that launched it, which is
-    exactly the kind of skew that must fail loudly rather than scatter
-    spans across two traces.
-    """
-    committed = str(manifest.get("trace", "") or "")
-    ambient = os.environ.get(TRACE_ENV, "")
-    if committed and ambient and committed != ambient:
-        raise ConfigurationError(
-            f"trace id mismatch in {directory}: manifest commits "
-            f"{committed} but {TRACE_ENV}={ambient} — this worker was "
-            "launched for a different queue's trace"
-        )
-    return committed or ambient
 
 
 @dataclass
@@ -141,7 +116,10 @@ def run_worker(
         )
     store = CellStore(queue.cells_dir, faults=faults)
     report = WorkerReport(worker=worker)
-    trace_id = _trace_id_for(manifest, queue.directory)
+    trace_id = mint_trace_id(fingerprint)
+    context = TraceContext(
+        trace_id, parent_id=span_id_for(trace_id, "campaign")
+    )
 
     while max_shards is None or len(report.shards_done) < max_shards:
         lease = queue.claim(worker)
@@ -153,26 +131,21 @@ def run_worker(
         journal = JsonlJournal(
             queue.journal_path(lease.shard, lease.generation), faults=faults
         )
-        tracer = NULL_TRACER
-        if trace_id:
-            # Root at shard-NNNN-gG: span ids stay unique fleet-wide even
-            # when a reclaimed shard is replayed at a later generation,
-            # and the stamp lets merge_spans drop losing generations.
-            tracer = SpanTracer(
-                journal,
-                TraceContext(
-                    trace_id, parent_id=span_id_for(trace_id, "campaign")
-                ),
-                worker=worker,
-                root_kind="shard",
-                root_name=lease.label,
-                root_path=f"shard-{lease.shard:04d}-g{lease.generation}",
-                stamp={"shard": lease.shard, "generation": lease.generation},
-            )
+        # Root at shard-NNNN-gG: span ids stay unique fleet-wide even
+        # when a reclaimed shard is replayed at a later generation, and
+        # the stamp lets merge_spans drop losing generations.
+        tracer = SpanTracer(
+            journal,
+            context,
+            worker=worker,
+            root_kind="shard",
+            root_name=lease.label,
+            root_path=f"shard-{lease.shard:04d}-g{lease.generation}",
+            stamp={"shard": lease.shard, "generation": lease.generation},
+        )
         if faults is not None and faults.enabled:
             faults.journal = journal
-            if tracer.enabled:
-                faults.tracer = tracer
+            faults.tracer = tracer
         try:
             if lease.reclaimed_from is not None:
                 report.reclaims += 1

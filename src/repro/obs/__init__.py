@@ -18,13 +18,15 @@ the same discipline to the reproduction's own campaigns:
 * :mod:`repro.obs.sketch` — deterministic mergeable quantile sketches,
   log-spaced streaming histograms, and the per-run latency recorder
   behind ``cell-dist`` journal events and ``repro obs dist``;
-* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /
-  ``chrome://tracing``) and folded flamegraph stacks from both campaign
-  journals and simulator ``Timeline`` / ``OffCpuReport`` data;
+* :mod:`repro.obs.export` — folded flamegraph stacks and Prometheus
+  metrics of campaign journals, and Chrome trace-event JSON (Perfetto /
+  ``chrome://tracing``) and folded stacks of simulator ``Timeline`` /
+  ``OffCpuReport`` data;
 * :mod:`repro.obs.trace_spans` — hierarchical span tracing (campaign →
   shard → worker → cell attempt → engine phase) with deterministic ids
   that merge across fabric worker processes into one causal tree and
-  export as a unified Perfetto timeline with reclaim/retry flow arrows;
+  export as a unified Perfetto timeline with reclaim/retry flow arrows
+  (the one Chrome exporter of campaign journals);
 * :mod:`repro.obs.live` — incremental journal tailing and the live
   fleet dashboard behind ``repro obs top`` / ``fabric status --watch``;
 * :mod:`repro.obs.health` — declarative health rules (straggler shard,
@@ -33,8 +35,8 @@ the same discipline to the reproduction's own campaigns:
 
 Surfaced on the command line as ``repro obs summary`` / ``repro obs
 export`` / ``repro obs spans`` / ``repro obs top`` / ``repro obs
-health`` plus ``--journal PATH`` and ``--trace`` on ``run`` and
-``report``.
+health`` plus ``--journal PATH`` on ``run``, ``report`` and
+``loadcurve`` (campaign journals always carry spans).
 """
 
 from repro.obs.events import (
@@ -44,7 +46,6 @@ from repro.obs.events import (
     validate_event,
 )
 from repro.obs.export import (
-    journal_to_chrome,
     journal_to_folded,
     journal_to_metrics,
     journal_to_prometheus,
@@ -96,7 +97,6 @@ from repro.obs.summary import CellRecord, RunSummary, summarize_journal
 from repro.obs.trace_spans import (
     NULL_TRACER,
     SPAN_KINDS,
-    TRACE_ENV,
     NullTracer,
     Span,
     SpanNode,
@@ -135,7 +135,6 @@ __all__ = [
     "summarize_journal",
     # trace spans
     "SPAN_KINDS",
-    "TRACE_ENV",
     "TraceContext",
     "Span",
     "SpanNode",
@@ -180,7 +179,6 @@ __all__ = [
     "merge_sketches",
     "merge_stream_sketches",
     # export
-    "journal_to_chrome",
     "journal_to_folded",
     "journal_to_metrics",
     "journal_to_prometheus",

@@ -2,9 +2,10 @@
 
 Two span sources feed the exporters:
 
-* **campaign journals** — cell spans on worker tracks, plus instant
-  markers for retries and pool rebuilds (the view that shows where a
-  campaign's wall-clock went);
+* **campaign journals** — folded cell stacks and Prometheus metrics
+  here; their Chrome trace comes from the journal's span events
+  (:func:`repro.obs.trace_spans.spans_to_chrome`, the one Chrome
+  exporter of journals);
 * **simulator traces** — a :class:`~repro.trace.timeline.Timeline` of
   per-thread activity intervals and an
   :class:`~repro.trace.offcputime.OffCpuReport` of time attribution
@@ -30,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.trace.schedprof import SchedProfile
 
 __all__ = [
-    "journal_to_chrome",
     "journal_to_folded",
     "journal_to_metrics",
     "journal_to_prometheus",
@@ -60,78 +60,6 @@ def _meta(pid: int, name: str, tid: int | None = None) -> dict:
         "args": {"name": name},
     }
     return event
-
-
-def journal_to_chrome(events: list[JournalEvent]) -> dict:
-    """Convert a run journal into a Chrome trace-event document.
-
-    Cell executions become complete (``"X"``) spans on one track per
-    worker; retries, failures, replayed cells, and pool rebuilds become
-    instant (``"i"``) markers on the track they belong to.
-    """
-    t0 = min((e.ts for e in events), default=0.0)
-    workers: dict[str, int] = {}
-
-    def tid(worker: str) -> int:
-        key = worker or "(coordinator)"
-        if key not in workers:
-            workers[key] = len(workers) + 1
-        return workers[key]
-
-    trace_events: list[dict] = []
-    for e in events:
-        if e.kind == "cell-finished":
-            start = float(e.extra.get("started", e.ts - e.duration))
-            trace_events.append(
-                {
-                    "name": e.label,
-                    "cat": "cell",
-                    "ph": "X",
-                    "ts": max(0.0, (start - t0) * _US),
-                    "dur": e.duration * _US,
-                    "pid": 1,
-                    "tid": tid(e.worker),
-                    "args": {"attempt": e.attempt, "worker": e.worker},
-                }
-            )
-        elif e.kind in (
-            "cell-retried",
-            "cell-failed",
-            "cell-resumed",
-            "checkpoint-corrupt",
-            "fault-injected",
-            "pool-rebuilt",
-        ):
-            trace_events.append(
-                {
-                    "name": f"{e.kind}: {e.label}" if e.label else e.kind,
-                    "cat": "lifecycle",
-                    "ph": "i",
-                    "s": "p",
-                    "ts": max(0.0, (e.ts - t0) * _US),
-                    "pid": 1,
-                    "tid": tid(e.worker),
-                    "args": {"detail": e.detail, "attempt": e.attempt},
-                }
-            )
-        elif e.kind in ("campaign-started", "campaign-finished",
-                        "sweep-started", "sweep-finished",
-                        "run-started", "run-finished"):
-            trace_events.append(
-                {
-                    "name": f"{e.kind}: {e.label}" if e.label else e.kind,
-                    "cat": "phase",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": max(0.0, (e.ts - t0) * _US),
-                    "pid": 1,
-                    "tid": 0,
-                    "args": {"detail": e.detail},
-                }
-            )
-    meta = [_meta(1, "campaign")]
-    meta += [_meta(1, name, t) for name, t in sorted(workers.items(), key=lambda kv: kv[1])]
-    return {"traceEvents": meta + trace_events, "displayTimeUnit": "ms"}
 
 
 def journal_to_folded(events: list[JournalEvent]) -> list[str]:

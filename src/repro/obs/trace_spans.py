@@ -23,19 +23,20 @@ processes — produces ids that merge into one causal tree without any
 cross-process coordination (:func:`merge_spans` is a plain associative
 set union).
 
-The trace context is minted once (``fabric init --trace`` derives it
-from the plan fingerprint; ``report --trace`` from the campaign seed)
-and propagated through the :class:`~repro.fabric.ShardQueue` manifest
-and the ``REPRO_TRACE_ID`` worker environment variable, in the spirit
-of a W3C ``traceparent`` header (:meth:`TraceContext.traceparent`).
+Every journal the CLI writes carries spans.  The trace id is derived,
+never stored: ``report`` / ``loadcurve`` mint it from the campaign
+(seed and experiments), a fabric fleet from the plan fingerprint in the
+:class:`~repro.fabric.ShardQueue` manifest, which every worker and the
+merge read — so a resumed run extends the same trace.
 
-Tracing is zero-cost when off: emitters hold :data:`NULL_TRACER` and
-pay one attribute check, and the engine-phase hook in
+A Python-API :class:`~repro.run.parallel.ParallelRunner` records spans
+only when given ``tracer=``; without one it holds :data:`NULL_TRACER`
+and pays one attribute check per cell, and the engine-phase hook in
 :func:`repro.run.execution.run_once` is a single module-global read
 (:func:`active_tracer`) that only an *inline* open cell frame ever
 sets — pool worker processes never pay for it.  Spans never feed back
-into measured results, so reports are byte-identical with tracing on
-or off.
+into measured results, so reports are byte-identical with or without
+a tracer.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.obs.events import JournalEvent
 
 __all__ = [
     "SPAN_KINDS",
-    "TRACE_ENV",
     "TraceContext",
     "Span",
     "SpanNode",
@@ -74,9 +74,6 @@ SPAN_KINDS: frozenset[str] = frozenset(
     {"campaign", "sweep", "shard", "worker", "cell", "phase", "fault"}
 )
 
-#: Environment variable carrying the trace id into fabric workers.
-TRACE_ENV = "REPRO_TRACE_ID"
-
 _TRACE_HEX = 32
 _SPAN_HEX = 16
 
@@ -84,9 +81,10 @@ _SPAN_HEX = 16
 def mint_trace_id(material: str) -> str:
     """Derive a 32-hex-digit trace id from identifying material.
 
-    Deterministic by design: ``fabric init`` mints from the plan
-    fingerprint, so re-initialising the same campaign plan yields the
-    same trace id and re-run spans land in the same trace.
+    Deterministic by design: a fabric fleet mints from the plan
+    fingerprint and ``report`` from the campaign, so re-running the
+    same campaign yields the same trace id and re-run spans land in
+    the same trace.
     """
     digest = hashlib.sha256(b"repro-trace:" + material.encode()).hexdigest()
     return digest[:_TRACE_HEX]
@@ -294,7 +292,7 @@ class NullTracer:
         """No-op context manager."""
         yield None
 
-    def begin_cell(self, label: str, *, attempt: int = 1):
+    def begin_cell(self, label: str, *, attempt: int = 1, cell: str = ""):
         """No cell frame to open."""
         return None
 
@@ -431,15 +429,19 @@ class SpanTracer:
         finally:
             self.pop(frame)
 
-    def begin_cell(self, label: str, *, attempt: int = 1) -> _Frame:
+    def begin_cell(
+        self, label: str, *, attempt: int = 1, cell: str = ""
+    ) -> _Frame:
         """Open an inline cell-attempt frame and arm the phase sink.
 
-        While the frame is open, :func:`active_tracer` returns this
-        tracer so :func:`repro.run.execution.run_once` can emit
-        compile/advance phase spans under the cell.
+        ``cell`` is the cell's store key, stamped on the span so two
+        cells sharing a label stay apart.  While the frame is open,
+        :func:`active_tracer` returns this tracer so
+        :func:`repro.run.execution.run_once` can emit compile/advance
+        phase spans under the cell.
         """
         global _ACTIVE
-        frame = self.push("cell", label, attempt=attempt)
+        frame = self.push("cell", label, attempt=attempt, cell=cell)
         _ACTIVE = self
         return frame
 
@@ -645,17 +647,27 @@ def render_span_tree(spans) -> str:
 
 _US = 1_000_000
 
+#: Journal events :func:`spans_to_chrome` draws as instant markers.
+_MARKER_KINDS = frozenset(
+    {"cell-failed", "cell-resumed", "checkpoint-corrupt", "pool-rebuilt"}
+)
+
 
 def spans_to_chrome(spans, events=()) -> dict:
     """Chrome trace-event JSON (Perfetto) for a merged span set.
 
-    Spans become ``"X"`` complete events, one track per emitting
-    worker.  The optional journal ``events`` add the causal glue as
-    flow arrows (``"s"``/``"f"`` pairs): lease reclaims/steals point
-    from the losing worker's track to the winning shard span, cell
-    retries point from the failed attempt to the next one, and batch
-    fallbacks point from the abandoned group to its first scalar
-    replay.  Load the result in https://ui.perfetto.dev.
+    The one Chrome exporter of campaign journals (``repro obs export
+    --format chrome`` and ``fabric merge --trace-out``).  Spans become
+    ``"X"`` complete events, one track per emitting worker; fault spans
+    become instants.  The optional journal ``events`` add the causal
+    glue as flow arrows (``"s"``/``"f"`` pairs): lease reclaims/steals
+    point from the losing worker's track to the winning shard span,
+    cell retries point from the failed attempt to the next attempt of
+    the same cell (matched by store key, so cells sharing a label stay
+    apart), and batch fallbacks point from the abandoned group to its
+    first scalar replay.  Failed, resumed and corrupt-checkpoint cells
+    and pool rebuilds become instant markers.  Load the result in
+    https://ui.perfetto.dev.
     """
     spans = sorted(spans, key=lambda s: (s.start, s.span_id))
     starts = [s.start for s in spans] + [e.ts for e in events]
@@ -693,9 +705,11 @@ def spans_to_chrome(spans, events=()) -> dict:
             out.append({**base, "ph": "X", "dur": max(0.0, span.duration * _US)})
 
     # Flow arrows need a concrete target span; index cells by
-    # (label, attempt) and shards by (shard, generation).
+    # (store key or label, attempt) and shards by (shard, generation).
     cell_by_attempt = {
-        (s.name, s.attrs.get("attempt", 0)): s for s in spans if s.kind == "cell"
+        (s.attrs.get("cell") or s.name, s.attrs.get("attempt", 0)): s
+        for s in spans
+        if s.kind == "cell"
     }
     shard_spans = {
         (s.attrs.get("shard"), s.attrs.get("generation")): s
@@ -749,10 +763,11 @@ def spans_to_chrome(spans, events=()) -> dict:
                 f"reclaim {event.label}",
             )
         elif event.kind == "cell-retried":
-            target = cell_by_attempt.get((event.label, event.attempt + 1))
+            cell = event.cell or event.label
+            target = cell_by_attempt.get((cell, event.attempt + 1))
             if target is not None:
                 flow(
-                    f"retry:{event.label}:{event.attempt}",
+                    f"retry:{cell}:{event.attempt}",
                     event.ts,
                     tid_for(event.worker),
                     target.start,
@@ -772,12 +787,30 @@ def spans_to_chrome(spans, events=()) -> dict:
                     tid_for(target.worker),
                     f"fallback {event.label}",
                 )
+        elif event.kind in _MARKER_KINDS:
+            out.append(
+                {
+                    "name": f"{event.kind}: {event.label}",
+                    "cat": "lifecycle",
+                    "ph": "i",
+                    "s": "t",
+                    "pid": 1,
+                    "tid": tid_for(event.worker),
+                    "ts": us(event.ts),
+                    "args": {
+                        "cell": event.cell,
+                        "attempt": event.attempt,
+                        "detail": event.detail,
+                    },
+                }
+            )
 
     meta = [
         {
             "ph": "M",
             "pid": 1,
             "tid": 0,
+            "ts": 0,
             "name": "process_name",
             "args": {"name": "repro campaign"},
         }
@@ -788,6 +821,7 @@ def spans_to_chrome(spans, events=()) -> dict:
                 "ph": "M",
                 "pid": 1,
                 "tid": tid,
+                "ts": 0,
                 "name": "thread_name",
                 "args": {"name": name},
             }

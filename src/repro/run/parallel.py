@@ -328,11 +328,6 @@ class _Unit:
     cells: tuple[str, ...]
     group: bool = False
 
-    @property
-    def cell(self) -> str:
-        """Journal cell key of a scalar unit (``""`` for a group)."""
-        return "" if self.group else self.cells[0]
-
 
 @dataclass
 class _TaskSet:
@@ -666,9 +661,8 @@ class ParallelRunner:
                             attempts[u], "", f"timeout: exceeded {self.timeout}s"
                         ))
                         self._record_failure(
-                            label, "", attempts[u],
+                            unit, "", attempts[u],
                             f"timeout after {self.timeout}s", final=True,
-                            cell=unit.cell,
                         )
                         raise ParallelExecutionError(
                             label, attempts[u], "timeout",
@@ -682,8 +676,7 @@ class ParallelRunner:
                         ))
                         if attempts[u] > self.retries:
                             self._record_failure(
-                                label, "", attempts[u], repr(exc), final=True,
-                                cell=unit.cell,
+                                unit, "", attempts[u], repr(exc), final=True,
                             )
                             raise ParallelExecutionError(
                                 label, attempts[u], "broken-pool", str(exc),
@@ -718,8 +711,8 @@ class ParallelRunner:
                             )
                             final = attempts[u] > self.retries
                             self._record_failure(
-                                label, wid, attempts[u], repr(cause),
-                                final=final, cell=unit.cell,
+                                unit, wid, attempts[u], repr(cause),
+                                final=final,
                             )
                             if final:
                                 raise ParallelExecutionError(
@@ -755,7 +748,7 @@ class ParallelRunner:
                 )
         tracer = self.tracer
         frame = (
-            tracer.begin_cell(unit.label, attempt=attempt)
+            tracer.begin_cell(unit.label, attempt=attempt, cell=unit.cells[0])
             if tracer.enabled and not unit.group
             else None
         )
@@ -808,7 +801,7 @@ class ParallelRunner:
             elif tracer.enabled:
                 tracer.emit_leaf(
                     "cell", label, start=obs.started, duration=obs.duration,
-                    worker=obs.worker, attempt=attempt,
+                    worker=obs.worker, attempt=attempt, cell=cell,
                     **({"batched": True} if unit.group else {}),
                 )
             if self.journal.enabled:
@@ -899,24 +892,25 @@ class ParallelRunner:
 
     def _record_failure(
         self,
-        label: str,
+        unit: _Unit,
         worker: str,
         attempt: int,
         detail: str,
         *,
         final: bool,
-        cell: str = "",
     ) -> None:
-        """Journal one failed attempt (``cell-failed`` when ``final``)."""
+        """Journal one failed attempt of ``unit`` (``cell-failed`` when
+        ``final``), once per member cell under its own label and key."""
         if self.journal.enabled:
-            self.journal.record(
-                "cell-failed" if final else "cell-retried",
-                label=label,
-                cell=cell,
-                worker=worker,
-                attempt=attempt,
-                detail=detail,
-            )
+            for label, cell in zip(unit.labels, unit.cells):
+                self.journal.record(
+                    "cell-failed" if final else "cell-retried",
+                    label=label,
+                    cell=cell,
+                    worker=worker,
+                    attempt=attempt,
+                    detail=detail,
+                )
 
     # -- sweep execution ----------------------------------------------------
 

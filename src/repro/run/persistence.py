@@ -183,10 +183,6 @@ class CellStore:
         self.directory = Path(directory)
         self.faults = faults or NULL_INJECTOR
 
-    def key_for(self, payload) -> str | None:
-        """The checkpoint key of a task payload (None = not checkpointable)."""
-        return task_fingerprint(payload)
-
     def path_for(self, key: str) -> Path:
         """Checkpoint file path for a key."""
         return self.directory / f"cell-{key}.json"

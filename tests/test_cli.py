@@ -430,6 +430,15 @@ class TestCommands:
         assert exc.value.code == 2
         assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
+    def test_report_trace_flag_is_accepted_and_hidden(self, capsys):
+        """Spans are always on with --journal; the old --trace opt-in
+        still parses (older command lines keep working) but is not
+        advertised."""
+        assert build_parser().parse_args(["report", "--trace"]).trace
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--help"])
+        assert "--trace" not in capsys.readouterr().out
+
     def test_sensitivity_command(self, capsys):
         assert (
             main(

@@ -24,7 +24,6 @@ from repro.obs import (
     MemoryJournal,
     MetricsRegistry,
     NullJournal,
-    journal_to_chrome,
     journal_to_folded,
     journal_to_metrics,
     journal_to_prometheus,
@@ -561,12 +560,21 @@ class TestMetricsRegistry:
 
 class TestExport:
     def _events(self):
+        from repro.obs import SpanTracer, TraceContext, mint_trace_id
+
         jl = MemoryJournal()
-        run_experiment(tiny_spec(), runner=ParallelRunner(journal=jl))
+        tracer = SpanTracer(jl, TraceContext(mint_trace_id("export")))
+        run_experiment(
+            tiny_spec(), runner=ParallelRunner(journal=jl, tracer=tracer)
+        )
+        tracer.close()
         return jl.events
 
     def test_chrome_trace_is_valid(self):
-        doc = journal_to_chrome(self._events())
+        from repro.obs import spans_from_journal, spans_to_chrome
+
+        events = self._events()
+        doc = spans_to_chrome(spans_from_journal(events), events)
         text = json.dumps(doc)  # must serialize cleanly
         doc = json.loads(text)
         events = doc["traceEvents"]
@@ -577,10 +585,10 @@ class TestExport:
             assert e["ts"] >= 0
             if e["ph"] == "X":
                 assert e["dur"] >= 0
-        spans = [e for e in events if e["ph"] == "X"]
-        assert len(spans) == 3
+        cells = [e for e in events if e["ph"] == "X" and e["cat"] == "cell"]
+        assert len(cells) == 3
         names = {e["args"]["name"] for e in events if e["ph"] == "M"}
-        assert "campaign" in names
+        assert "repro campaign" in names
 
     def test_folded_lines_well_formed(self):
         lines = journal_to_folded(self._events())
@@ -722,6 +730,30 @@ class TestCellIdentity:
         seen = [e for e in jl.events if e.kind in per_cell]
         assert {e.kind for e in seen} == per_cell
         assert {e.cell for e in seen} == keys
+
+    def test_failed_batch_group_journals_each_member_cell(self, monkeypatch):
+        """A failed batched attempt is journaled once per member cell,
+        under that cell's label and key — never as a phantom group cell."""
+        import repro.run.parallel as parallel
+
+        real = parallel._execute_batch_group
+        calls = []
+
+        def flaky(tasks):
+            calls.append(len(tasks))
+            if len(calls) == 1:
+                raise RuntimeError("transient group failure")
+            return real(tasks)
+
+        monkeypatch.setattr(parallel, "_execute_batch_group", flaky)
+        jl = self._journal("fig7", {"batch": True})
+        retried = [e for e in jl.events if e.kind == "cell-retried"]
+        assert len(retried) == calls[0] >= 2
+        assert all(e.cell for e in retried)
+        assert not [e for e in retried if e.label.startswith("batch[")]
+        summary = summarize_journal(jl.events)
+        assert summary.n_cells == 6
+        assert summary.retries_total == calls[0]
 
     def test_half_replayed_fig7_keeps_every_executed_cell(self, tmp_path):
         from repro.fabric import campaign_cells

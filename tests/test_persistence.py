@@ -11,7 +11,7 @@ from repro import Calibration, SyntheticWorkload, instance_type
 from repro.hostmodel.topology import small_host
 from repro.platforms.base import PlatformKind
 from repro.run.experiment import ExperimentSpec
-from repro.run.persistence import CellStore, spec_fingerprint
+from repro.run.persistence import CellStore, spec_fingerprint, task_fingerprint
 from repro.sched.affinity import ProvisioningMode
 
 
@@ -201,11 +201,11 @@ class TestCache:
 
         store = CellStore(tmp_path)
         spec = make_spec()
-        keys = [store.key_for(t) for t in cell_tasks(spec)[0]]
+        keys = [task_fingerprint(t) for t in cell_tasks(spec)[0]]
         assert [store.load(k)[1] for k in keys] == ["miss", "miss"]
         _sweep(spec, store)
         assert [store.load(k)[1] for k in keys] == ["hit", "hit"]
-        other = [store.key_for(t) for t in cell_tasks(make_spec(seed=42))[0]]
+        other = [task_fingerprint(t) for t in cell_tasks(make_spec(seed=42))[0]]
         assert [store.load(k)[1] for k in other] == ["miss", "miss"]
 
 
@@ -258,7 +258,7 @@ class TestAtomicWrites:
         )
         store = CellStore(tmp_path, faults=inj)
         task = _cell_task()
-        key = store.key_for(task)
+        key = task_fingerprint(task)
         runs = execute_cell(task)
         with pytest.raises(InjectedFault):
             store.put(key, runs)
@@ -301,7 +301,7 @@ class TestCellStore:
 
         store = CellStore(tmp_path / "cells")
         task = _cell_task()
-        key = store.key_for(task)
+        key = task_fingerprint(task)
         assert key is not None
         assert store.load(key) == (None, "miss")
         assert len(store) == 0
@@ -348,7 +348,7 @@ class TestCellStore:
         from repro.run.persistence import CellStore
 
         store = CellStore(tmp_path)
-        key = store.key_for(_cell_task())
+        key = task_fingerprint(_cell_task())
         store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
         store.path_for(key).write_text("not json")
         assert store.load(key) == (None, "corrupt")
@@ -361,17 +361,15 @@ class TestCellStore:
 
         store = CellStore(tmp_path)
         task = _cell_task(seed=7)
-        key = store.key_for(task)
+        key = task_fingerprint(task)
         store.put(key, execute_cell(task), label=task.label)
-        other = store.key_for(_cell_task(seed=8))
+        other = task_fingerprint(_cell_task(seed=8))
         assert other != key
         # an entry copied under the wrong key fails verification
         shutil.copy(store.path_for(key), store.path_for(other))
         assert store.load(other) == (None, "corrupt")
 
-    def test_key_for_non_cell_payload_is_none(self, tmp_path):
-        from repro.run.persistence import CellStore
-
-        store = CellStore(tmp_path)
-        assert store.key_for(3.5) is None
-        assert store.key_for(object()) is None
+    def test_key_for_non_cell_payload_is_none(self):
+        # only cell tasks have a store key
+        assert task_fingerprint(3.5) is None
+        assert task_fingerprint(object()) is None

@@ -29,6 +29,7 @@ import pytest
 
 from repro import Campaign, CellStore, FaultInjector, FaultPlan, FaultSpec
 from repro.analysis.report import generate_report
+from repro.cli import main
 from repro.errors import ConfigurationError, InjectedCrash
 from repro.fabric import init_queue, merge_queue, run_worker
 from repro.obs import (
@@ -266,7 +267,7 @@ class TestMergeSpans:
 
     def test_winning_filter_matches_merge_queue_rule(self, tmp_path):
         """Spans excluded by merge_spans == journals merge_queue orphans."""
-        init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=0.1, trace=True)
+        init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=0.1)
         inj = FaultInjector(
             FaultPlan(specs=(FaultSpec(site="worker.kill", attempts=(1, 2)),))
         )
@@ -368,7 +369,7 @@ class TestCampaignTracing:
 
     def test_one_worker_fabric_tree_equals_serial(self, serial, tmp_path):
         _result, serial_spans = serial
-        init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=60.0, trace=True)
+        init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=60.0)
         run_worker(tmp_path / "q", "w1", wait=False)
         _merged, info = merge_queue(
             tmp_path / "q", journal_out=tmp_path / "m.jsonl"
@@ -391,31 +392,94 @@ class TestCampaignTracing:
         assert generate_report(result) == generate_report(run_campaign(_camp()))
 
 
+class TestCliJournalSpans:
+    """Every journal the CLI writes carries spans; none changes a byte."""
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--only", "fig8", "--reps-fast", "1"],
+        ["loadcurve", "--rates", "60,120", "--requests", "8", "--reps", "1"],
+    ], ids=["report", "loadcurve"])
+    def test_journal_records_phases_and_keeps_report_bytes(
+        self, tmp_path, capsys, argv
+    ):
+        plain, journaled = tmp_path / "plain.md", tmp_path / "journaled.md"
+        journal = tmp_path / "j.jsonl"
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert main([
+            *argv, "--out", str(journaled), "--journal", str(journal),
+            "--checkpoint", str(tmp_path / "cells"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert journaled.read_bytes() == plain.read_bytes()
+        spans = spans_from_journal(read_journal(journal, strict=True))
+        assert f"trace {spans[0].trace_id}: inspect with" in out
+        phases = {s.name for s in spans if s.kind == "phase"}
+        assert {"compile", "advance", "checkpoint"} <= phases
+
+    def test_resume_extends_the_same_trace(self, tmp_path, capsys):
+        argv = [
+            "report", "--only", "fig8", "--reps-fast", "1",
+            "--out", str(tmp_path / "r.md"),
+            "--checkpoint", str(tmp_path / "cells"),
+            "--journal", str(tmp_path / "j.jsonl"),
+        ]
+        assert main(argv) == 0
+        assert main([*argv, "--resume"]) == 0
+        capsys.readouterr()
+        spans = spans_from_journal(read_journal(tmp_path / "j.jsonl"))
+        assert len({s.trace_id for s in spans}) == 1
+
+    def test_fault_retries_of_label_twins_flow_apart(self, tmp_path, capsys):
+        """fig8 has two cells labelled 'FFmpeg/vanilla CN/4xLarge'; a
+        fault on both first attempts draws one retry flow per cell."""
+        plan = tmp_path / "plan.json"
+        FaultPlan(specs=(FaultSpec(
+            site="task.error", match="FFmpeg/vanilla CN/4xLarge",
+            attempts=(1,),
+        ),)).save(plan)
+        journal, trace = tmp_path / "j.jsonl", tmp_path / "trace.json"
+        assert main([
+            "report", "--only", "fig8", "--reps-fast", "1",
+            "--out", str(tmp_path / "r.md"), "--journal", str(journal),
+            "--fault-plan", str(plan),
+        ]) == 0
+        assert main([
+            "obs", "export", str(journal), "--format", "chrome",
+            "--out", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        doc = json.loads(trace.read_text())
+        retries = [
+            f for f in validate_chrome_trace(doc)["flow_ids"]
+            if f.startswith("retry:")
+        ]
+        assert len(retries) == 2
+        ends = {
+            e["id"]: e["ts"] for e in doc["traceEvents"] if e["ph"] == "f"
+        }
+        second = {
+            e["args"]["cell"]: e["ts"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "X" and e["cat"] == "cell"
+            and e["args"]["attempt"] == 2
+        }
+        for flow_id in retries:
+            assert ends[flow_id] == second[flow_id.split(":")[1]]
+
+    def test_obs_spans_prints_the_tree_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "spans", str(tmp_path / "j.jsonl"),
+                  "--format", "chrome"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 # -- fabric chaos trace ------------------------------------------------------
 
 
 class TestFabricTrace:
-    def test_worker_rejects_trace_skew(self, tmp_path, monkeypatch):
-        init_queue(tmp_path / "q", _camp(), shards=1, trace=True)
-        monkeypatch.setenv("REPRO_TRACE_ID", mint_trace_id("other"))
-        with pytest.raises(ConfigurationError, match="trace id mismatch"):
-            run_worker(tmp_path / "q", "w1", wait=False)
-
-    def test_env_only_trace_id_is_honoured(self, tmp_path, monkeypatch):
-        init_queue(tmp_path / "q", _camp(), shards=1)  # no manifest trace
-        monkeypatch.setenv("REPRO_TRACE_ID", mint_trace_id("ambient"))
-        run_worker(tmp_path / "q", "w1", wait=False)
-        _result, info = merge_queue(tmp_path / "q")
-        assert info.spans > 0
-
-    def test_merge_trace_out_requires_traced_queue(self, tmp_path):
-        init_queue(tmp_path / "q", _camp(), shards=1)
-        run_worker(tmp_path / "q", "w1", wait=False)
-        with pytest.raises(ConfigurationError, match="--trace"):
-            merge_queue(tmp_path / "q", trace_out=tmp_path / "t.json")
-
     def test_chaos_fleet_trace_validates_with_reclaim_flow(self, tmp_path):
-        init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=0.1, trace=True)
+        init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=0.1)
         inj = FaultInjector(
             FaultPlan(specs=(FaultSpec(site="worker.kill", attempts=(1, 2)),))
         )
@@ -437,7 +501,7 @@ class TestFabricTrace:
         assert len(spans) == 1
 
     def test_crashed_worker_emits_partial_spans(self, tmp_path):
-        init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=60.0, trace=True)
+        init_queue(tmp_path / "q", _camp(), shards=2, lease_ttl=60.0)
         inj = FaultInjector(
             FaultPlan(specs=(FaultSpec(site="worker.kill", attempts=(1, 2)),))
         )
@@ -450,6 +514,22 @@ class TestFabricTrace:
         kinds = {s.kind for s in spans}
         # the dying worker still emitted its fault marker and open frames
         assert "fault" in kinds and "shard" in kinds and "worker" in kinds
+
+
+    def test_cli_queue_merges_a_valid_trace(self, tmp_path, capsys):
+        """A queue initialised with no flag still exports the fleet trace."""
+        q = str(tmp_path / "q")
+        camp = ["--only", "fig8", "--reps-fast", "1", "--shards", "2"]
+        assert main(["fabric", "init", q, *camp]) == 0
+        assert main(["fabric", "work", q, "--worker", "w1", "--no-wait"]) == 0
+        trace = tmp_path / "trace.json"
+        assert main(
+            ["fabric", "merge", q, "--out", str(tmp_path / "r.md"),
+             "--trace-out", str(trace)]
+        ) == 0
+        capsys.readouterr()
+        census = validate_chrome_trace(json.loads(trace.read_text()))
+        assert census["spans"] > 0
 
 
 # -- chrome export -----------------------------------------------------------
@@ -489,6 +569,57 @@ class TestChromeExport:
         )
         census = validate_chrome_trace(spans_to_chrome(spans, [retried]))
         assert "retry:cell-a:1" in census["flow_ids"]
+
+    def test_retry_flows_of_label_twins_reach_their_own_cell(self):
+        """Two cells sharing a label retry apart: each flow is named by
+        the cell's store key and ends at that cell's next attempt."""
+        trace = mint_trace_id("twins")
+
+        def cell(key, attempt, start):
+            return Span(
+                trace, span_id_for(trace, f"{key}{attempt}"), "", "cell-a",
+                "cell", start=start, duration=1.0, worker="w1",
+                attrs={"attempt": attempt, "cell": key},
+            )
+
+        spans = [cell("k1", 1, 0.0), cell("k2", 1, 1.0),
+                 cell("k1", 2, 3.0), cell("k2", 2, 5.0)]
+        retried = [
+            JournalEvent(ts=1.0, kind="cell-retried", label="cell-a",
+                         cell=key, worker="w1", attempt=1)
+            for key in ("k1", "k2")
+        ]
+        doc = spans_to_chrome(spans, retried)
+        census = validate_chrome_trace(doc)
+        assert census["flow_ids"] == ["retry:k1:1", "retry:k2:1"]
+        ends = {
+            e["id"]: e["ts"] for e in doc["traceEvents"] if e["ph"] == "f"
+        }
+        starts = {
+            e["args"]["cell"]: e["ts"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "X" and e["args"]["attempt"] == 2
+        }
+        assert ends == {
+            "retry:k1:1": starts["k1"], "retry:k2:1": starts["k2"],
+        }
+
+    def test_lifecycle_events_become_markers(self):
+        spans = [_span(1)]
+        events = [
+            JournalEvent(ts=1.0, kind=kind, label="cell-a", cell="k1")
+            for kind in ("cell-failed", "cell-resumed",
+                         "checkpoint-corrupt", "pool-rebuilt",
+                         "cell-finished")
+        ]
+        doc = spans_to_chrome(spans, events)
+        assert validate_chrome_trace(doc)["instants"] == 4
+        assert sorted(
+            e["name"] for e in doc["traceEvents"] if e["ph"] == "i"
+        ) == [
+            "cell-failed: cell-a", "cell-resumed: cell-a",
+            "checkpoint-corrupt: cell-a", "pool-rebuilt: cell-a",
+        ]
 
     def test_validate_rejects_malformed_docs(self):
         with pytest.raises(ConfigurationError):
