@@ -6,8 +6,11 @@ machine.  This package turns a campaign into a **file-backed shard
 queue** that any number of worker processes (on any hosts sharing the
 directory) drain cooperatively:
 
-* :mod:`repro.fabric.plan` — deterministic campaign → ordered-cell
-  decomposition, plan fingerprinting, and serial-result reassembly;
+* :mod:`repro.fabric.plan` — the queue manifest that commits a
+  campaign plan to a directory, and its cut into shards (the plan —
+  :func:`~repro.run.campaign.campaign_cells`, ``plan_fingerprint`` and
+  the result assembler ``assemble_result`` — lives in
+  :mod:`repro.run.campaign` and is re-exported here);
 * :mod:`repro.fabric.queue` — the lease protocol: every shard-state
   transition is one atomic ``os.rename``, heartbeats are ``utime``,
   stale leases are reclaimed at a bumped generation;
@@ -16,8 +19,8 @@ directory) drain cooperatively:
   shared :class:`~repro.run.persistence.CellStore` → finalize);
 * :mod:`repro.fabric.coordinator` — queue init, worker launch, and the
   merge that folds shard journals and checkpoints into a report
-  byte-identical to the serial ``run_campaign`` (campaign metrics are
-  built from the merged journal).
+  byte-identical to the serial ``run_campaign``, through the same
+  assembler (campaign metrics are built from the merged journal).
 
 CLI: ``repro fabric init|work|run|merge|status``.
 """
@@ -29,16 +32,18 @@ from repro.fabric.coordinator import (
     merge_queue,
 )
 from repro.fabric.plan import (
-    CellRef,
-    assemble_result,
-    campaign_cells,
     campaign_from_manifest,
     manifest_for_campaign,
-    plan_fingerprint,
     shard_ranges,
 )
 from repro.fabric.queue import Lease, ShardQueue, ShardState
 from repro.fabric.worker import WorkerReport, run_worker
+from repro.run.campaign import (
+    CellRef,
+    assemble_result,
+    campaign_cells,
+    plan_fingerprint,
+)
 
 __all__ = [
     "CellRef",

@@ -33,10 +33,8 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError, ReproError
 from repro.fabric.plan import (
-    campaign_cells,
     campaign_from_manifest,
     manifest_for_campaign,
-    plan_fingerprint,
     shard_ranges,
 )
 from repro.fabric.queue import ShardQueue
@@ -51,9 +49,14 @@ from repro.obs.trace_spans import (
     spans_from_journal,
     spans_to_chrome,
 )
-from repro.run.campaign import Campaign, CampaignResult
+from repro.run.campaign import (
+    Campaign,
+    CampaignResult,
+    assemble_result,
+    campaign_cells,
+    plan_fingerprint,
+)
 from repro.run.persistence import CellStore
-from repro.fabric.plan import assemble_result
 
 __all__ = ["MergeInfo", "init_queue", "launch_workers", "merge_queue"]
 

@@ -1,102 +1,34 @@
-"""Deterministic decomposition of a campaign into an ordered cell list.
+"""Queue manifests and shards: a campaign plan committed to a directory.
 
-The fabric's unit of work is the *cell* — one (platform, instance)
-configuration with its pre-committed repetition stream recipes.  Every
-participant (the coordinator sharding the queue, each worker executing
-its slice, the merger reassembling the report) derives the **same
-ordered cell list** from the same :class:`~repro.run.campaign.Campaign`
-by calling :func:`campaign_cells`; the order is exactly the serial
-iteration order of :func:`~repro.run.campaign.run_campaign`, so a
-merged fabric result is field-for-field the serial result.
-
-:func:`plan_fingerprint` hashes the ordered per-cell content
-fingerprints; the manifest commits it at queue-init time and every
-worker re-derives and checks it before claiming work, so version skew
-between coordinator and workers fails loudly instead of merging
-silently divergent cells.
+The campaign plan itself — the ordered cell list
+(:func:`~repro.run.campaign.campaign_cells`), its fingerprint and the
+result assembler — lives in :mod:`repro.run.campaign`.  This module
+commits a plan to a fabric queue: :func:`manifest_for_campaign` records
+the campaign and the plan fingerprint, :func:`campaign_from_manifest`
+rebuilds the exact campaign in every worker (which re-derives the plan
+and checks its fingerprint before claiming work, so version skew between
+coordinator and workers fails loudly instead of merging silently
+divergent cells), and :func:`shard_ranges` cuts the plan into contiguous
+shards.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass
-
-from repro.analysis.chr import ChrRange, estimate_suitable_chr_range
-from repro.analysis.loadcurve import LoadCurveConfig, LoadCurveResult, build_loadcurve
-from repro.analysis.stats import StatSummary, summarize
+from repro.analysis.loadcurve import LoadCurveConfig
 from repro.errors import ConfigurationError
 from repro.hostmodel.topology import r830_host, small_host
-from repro.platforms.registry import make_platform
 from repro.run.calibration import Calibration
-from repro.run.campaign import (
-    Campaign,
-    CampaignResult,
-    KNOWN_EXPERIMENTS,
-    SWEEP_EXPERIMENTS,
-    fig7_tasks,
-    fig8_tasks,
-    loadcurve_platform_order,
-    loadcurve_tasks,
-    sweep_spec,
-)
-from repro.run.parallel import CellTask, cell_tasks
-from repro.run.persistence import task_fingerprint
-from repro.run.results import ExperimentResult, RunResult, SweepResult
+from repro.run.campaign import Campaign, campaign_cells, plan_fingerprint
 
 __all__ = [
-    "CellRef",
     "MANIFEST_SCHEMA",
-    "assemble_result",
-    "campaign_cells",
     "campaign_from_manifest",
     "manifest_for_campaign",
-    "plan_fingerprint",
     "shard_ranges",
 ]
 
 #: Version of the queue manifest layout; bump on incompatible change.
 MANIFEST_SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class CellRef:
-    """One campaign cell in plan order: task, position, and identity."""
-
-    exp: str
-    index: int
-    task: CellTask
-    key: str
-
-
-def campaign_cells(campaign: Campaign) -> list[CellRef]:
-    """Every cell of ``campaign`` in serial execution order."""
-    refs: list[CellRef] = []
-    for fig in KNOWN_EXPERIMENTS:
-        if fig not in campaign.include:
-            continue
-        if fig in SWEEP_EXPERIMENTS:
-            tasks, _ = cell_tasks(sweep_spec(campaign, fig))
-        elif fig == "fig7":
-            tasks, _ = fig7_tasks(campaign)
-        elif fig == "fig8":
-            tasks, _ = fig8_tasks(campaign)
-        else:
-            tasks, _ = loadcurve_tasks(campaign)
-        for i, task in enumerate(tasks):
-            key = task_fingerprint(task)
-            if key is None:  # pragma: no cover - cell tasks always hash
-                raise ConfigurationError(
-                    f"cell {task.label} of {fig} is not fingerprintable"
-                )
-            refs.append(CellRef(exp=fig, index=i, task=task, key=key))
-    return refs
-
-
-def plan_fingerprint(refs: list[CellRef]) -> str:
-    """Stable hex digest of the ordered cell identities."""
-    blob = json.dumps([(r.exp, r.index, r.key) for r in refs])
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
 def shard_ranges(n_cells: int, n_shards: int) -> list[tuple[int, int]]:
@@ -203,88 +135,3 @@ def campaign_from_manifest(manifest: dict) -> Campaign:
         raise ConfigurationError(
             f"malformed queue manifest: {exc!r}"
         ) from exc
-
-
-def assemble_result(
-    campaign: Campaign, runs_by_key: dict[str, list[RunResult]]
-) -> CampaignResult:
-    """Rebuild the serial :class:`CampaignResult` from per-cell runs.
-
-    ``runs_by_key`` maps each cell fingerprint (from
-    :func:`campaign_cells`) to its measured repetitions — typically
-    loaded from the queue's shared
-    :class:`~repro.run.persistence.CellStore`.  The reassembly mirrors
-    :func:`~repro.run.campaign.run_campaign` structure for structure
-    (sweep grids, CHR bands, Fig. 7/8 summaries), and every derived
-    number depends only on the measured values, so the report generated
-    from the returned result is byte-identical to the serial run's.
-    """
-
-    def runs_for(ref: CellRef) -> list[RunResult]:
-        try:
-            return runs_by_key[ref.key]
-        except KeyError:
-            raise ConfigurationError(
-                f"cell {ref.task.label} ({ref.exp}) has no runs under "
-                f"fingerprint {ref.key}"
-            ) from None
-
-    by_exp: dict[str, list[CellRef]] = {}
-    for ref in campaign_cells(campaign):
-        by_exp.setdefault(ref.exp, []).append(ref)
-
-    sweeps: dict[str, SweepResult] = {}
-    for fig in SWEEP_EXPERIMENTS:
-        if fig not in campaign.include:
-            continue
-        spec = sweep_spec(campaign, fig)
-        _, platform_order = cell_tasks(spec)
-        cells = {
-            (
-                make_platform(r.task.kind, r.task.instance, r.task.mode).label(),
-                r.task.instance.name,
-            ): ExperimentResult(runs_for(r))
-            for r in by_exp[fig]
-        }
-        sweeps[fig] = SweepResult(
-            workload=spec.workload.name,
-            cells=cells,
-            instance_order=[i.name for i in spec.instances],
-            platform_order=platform_order,
-        )
-
-    chr_bands: dict[str, ChrRange] = {}
-    for fig, name in (
-        ("fig3", "FFmpeg"), ("fig5", "WordPress"), ("fig6", "Cassandra")
-    ):
-        if fig in sweeps:
-            chr_bands[name] = estimate_suitable_chr_range(
-                sweeps[fig], campaign.host
-            )
-
-    fig7: dict[tuple[str, str], StatSummary] = {}
-    if "fig7" in campaign.include:
-        _, keys = fig7_tasks(campaign)
-        fig7 = {
-            key: summarize([run.value for run in runs_for(r)])
-            for key, r in zip(keys, by_exp["fig7"])
-        }
-    fig8: dict[tuple[str, str], StatSummary] = {}
-    if "fig8" in campaign.include:
-        _, keys = fig8_tasks(campaign)
-        fig8 = {
-            key: summarize([run.value for run in runs_for(r)])
-            for key, r in zip(keys, by_exp["fig8"])
-        }
-    loadcurve: LoadCurveResult | None = None
-    if "loadcurve" in campaign.include:
-        _, keys = loadcurve_tasks(campaign)
-        loadcurve = build_loadcurve(
-            campaign.loadcurve,
-            loadcurve_platform_order(campaign.loadcurve),
-            zip(keys, (runs_for(r) for r in by_exp["loadcurve"])),
-        )
-    return CampaignResult(
-        sweeps=sweeps, chr_bands=chr_bands, fig7=fig7, fig8=fig8,
-        loadcurve=loadcurve,
-    )

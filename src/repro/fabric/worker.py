@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError, LeaseLostError
 from repro.faults import FaultInjector
-from repro.fabric.plan import campaign_cells, campaign_from_manifest, plan_fingerprint
+from repro.fabric.plan import campaign_from_manifest
 from repro.fabric.queue import ShardQueue
 from repro.obs.journal import JsonlJournal
 from repro.obs.trace_spans import (
@@ -44,6 +44,7 @@ from repro.obs.trace_spans import (
     mint_trace_id,
     span_id_for,
 )
+from repro.run.campaign import campaign_cells, plan_fingerprint
 from repro.run.parallel import ParallelRunner, execute_cell
 from repro.run.persistence import CellStore
 

@@ -11,8 +11,10 @@ Rules (JSON: ``{"rules": [{"rule": NAME, ...params}, ...]}``):
 
 ``straggler-shard``
     A finished shard's busy time exceeds ``k`` (default 2.0) times the
-    median across finished shards; ``min_shards`` (default 2) guards
-    the degenerate single-shard case.
+    median across the finished shards that executed at least one cell
+    (a shard replayed wholly from checkpoints finishes in ~0 s and
+    would drag the median down); ``min_shards`` (default 2) guards the
+    degenerate single-shard case.
 ``lease-churn``
     Lease reclaims per shard exceed ``max_rate`` (default 0.0 — any
     steal is a violation unless the rule says otherwise).
@@ -161,7 +163,7 @@ def _straggler_shard(summary, rule: HealthRule) -> list[Violation]:
     finished = {
         label: s.duration
         for label, s in summary.shards.items()
-        if s.finished and s.duration > 0
+        if s.finished and s.duration > 0 and s.executed > 0
     }
     if len(finished) < min_shards:
         return []

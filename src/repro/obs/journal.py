@@ -133,7 +133,10 @@ class JsonlJournal(_RecordingJournal):
         ``journal.truncate`` site: the scheduled event is cut mid-line
         (flushed without its tail) and the simulated crash
         (:class:`~repro.errors.InjectedCrash`) propagates, exactly like
-        a power loss during the append.
+        a power loss during the append.  As after a real power loss,
+        nothing reaches the file after the torn line (spans closed while
+        the crash unwinds are dropped), so the torn line stays the tail
+        that a resume trims.
     """
 
     def __init__(
@@ -148,6 +151,7 @@ class JsonlJournal(_RecordingJournal):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.faults = faults or NULL_INJECTOR
+        self._torn = False
         if append and self.path.exists():
             self._trim_partial_tail()
             self._fh = self.path.open("a", encoding="utf-8")
@@ -163,6 +167,8 @@ class JsonlJournal(_RecordingJournal):
 
     def emit(self, event: JournalEvent) -> None:
         """Append one JSON line and flush."""
+        if self._torn:
+            return
         line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
         if self.faults.enabled:
             spec = self.faults.fire("journal.truncate", event.kind)
@@ -171,6 +177,7 @@ class JsonlJournal(_RecordingJournal):
 
                 self._fh.write(line[: max(1, len(line) // 2)])
                 self._fh.flush()
+                self._torn = True
                 raise InjectedCrash(
                     "journal.truncate", event.kind, "crash mid-append"
                 )

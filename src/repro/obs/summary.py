@@ -84,13 +84,17 @@ class ShardRecord:
     shard generation, ``shard-lost`` when a heartbeat discovers the
     lease was stolen, and ``shard-reclaimed`` when a worker steals a
     stale lease — so a merged campaign journal carries the full custody
-    history of every shard.
+    history of every shard.  ``executed`` counts the ``cell-finished``
+    events between a shard's ``shard-started`` and its end (a merged
+    journal is in shard order); cells replayed from checkpoints are not
+    among them.
     """
 
     label: str
     worker: str = ""
     generation: int = 0
     cells: int = 0
+    executed: int = 0
     duration: float = 0.0
     started: int = 0
     lost: int = 0
@@ -345,8 +349,11 @@ def summarize_journal(events: list[JournalEvent]) -> RunSummary:
             rec = summary.shards[label] = ShardRecord(label=label)
         return rec
 
+    current: ShardRecord | None = None  # the shard whose events these are
     for e in events:
         if e.kind == "cell-finished":
+            if current is not None:
+                current.executed += 1
             rec = cell(e)
             rec.duration += e.duration
             rec.worker = e.worker or rec.worker
@@ -378,7 +385,7 @@ def summarize_journal(events: list[JournalEvent]) -> RunSummary:
         elif e.kind == "pool-rebuilt":
             summary.pool_rebuilds += 1
         elif e.kind == "shard-started":
-            rec = shard(e.label)
+            rec = current = shard(e.label)
             rec.started += 1
             rec.worker = e.worker or rec.worker
             rec.generation = max(
@@ -387,6 +394,7 @@ def summarize_journal(events: list[JournalEvent]) -> RunSummary:
             rec.cells = int(e.extra.get("cells", rec.cells))
         elif e.kind == "shard-finished":
             rec = shard(e.label)
+            current = None
             rec.finished = True
             rec.worker = e.worker or rec.worker
             rec.duration += e.duration
@@ -395,6 +403,7 @@ def summarize_journal(events: list[JournalEvent]) -> RunSummary:
             )
         elif e.kind == "shard-lost":
             shard(e.label).lost += 1
+            current = None
         elif e.kind == "shard-reclaimed":
             rec = shard(e.label)
             rec.reclaimed += 1

@@ -5,13 +5,12 @@ does the same for the reproduction's own wall clock.  A campaign run —
 serial or sharded across N fabric workers — emits a tree of spans::
 
     campaign
-    └── sweep (fig3 / fig7 / ...)
-        └── shard-0002-g1            (fabric only)
-            └── worker w1            (fabric only)
-                └── cell attempt
-                    ├── phase compile
-                    ├── phase advance
-                    └── phase checkpoint
+    └── shard-0002-g1            (fabric only)
+        └── worker w1            (fabric only)
+            └── cell attempt
+                ├── phase compile
+                ├── phase advance
+                └── phase checkpoint
 
 Spans ride inside the existing run journal as ``kind="span"`` events,
 so every property of the journal (flush-per-event crash safety, resume
@@ -70,6 +69,8 @@ __all__ = [
 ]
 
 #: Every structural role a span may have in the campaign tree.
+#: ``sweep`` is no longer emitted; journals written while campaigns ran
+#: figure by figure hold it between the campaign and its cells.
 SPAN_KINDS: frozenset[str] = frozenset(
     {"campaign", "sweep", "shard", "worker", "cell", "phase", "fault"}
 )
@@ -94,7 +95,7 @@ def span_id_for(trace_id: str, path: str) -> str:
     """Deterministic 16-hex span id for a structural path.
 
     The path encodes a span's position in the tree (e.g.
-    ``campaign/sweep:fig3@0/cell:fig3/kvm/...@4``); hashing it with the
+    ``campaign/cell:FFmpeg/pinned VM/Large@4``); hashing it with the
     trace id gives every process the same id for the same node, which
     is what makes :func:`merge_spans` a coordination-free union.
     """

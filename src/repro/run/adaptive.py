@@ -24,6 +24,14 @@ cell task, so a checkpoint store resumes interrupted adaptive sweeps to
 identical bytes.  The fingerprint covers each repetition's stream
 recipe, so a checkpoint replays only a cell with exactly the same
 repetitions, whichever sweep wrote it.
+
+Why this is a path of its own: a uniform campaign is one up-front plan
+of cells (:func:`repro.run.campaign.campaign_cells`) run in one
+``run_tasks`` call, but the cells of an adaptive round depend on the
+values measured in the round before, so the rounds cannot form one
+plan.  :func:`~repro.run.campaign.run_campaign` runs each adaptive
+sweep here first, then the rest of its plan, and hands the finished
+sweeps to the same :func:`~repro.run.campaign.assemble_result`.
 """
 
 from __future__ import annotations
@@ -34,12 +42,11 @@ import time
 from repro.analysis.adaptive import AdaptiveRepsPolicy
 from repro.hostmodel.topology import HostTopology
 from repro.platforms.provisioning import InstanceType
-from repro.platforms.registry import make_platform
 from repro.rng import DEFAULT_SEED, RngFactory
 from repro.run.calibration import Calibration
-from repro.run.experiment import platform_sweep_spec
+from repro.run.experiment import platform_sweep_spec, sweep_result
 from repro.run.parallel import ParallelRunner, cell_tasks, execute_cell
-from repro.run.results import ExperimentResult, SweepResult
+from repro.run.results import SweepResult
 from repro.workloads.base import Workload
 
 __all__ = ["run_adaptive_sweep"]
@@ -86,7 +93,7 @@ def run_adaptive_sweep(
             detail=f"adaptive base={spec.reps} cap={cap}",
         )
     t0 = time.perf_counter()
-    tasks, platform_order = cell_tasks(spec)
+    tasks = cell_tasks(spec)
     runs = [list(r) for r in runner.run_tasks(execute_cell, tasks)]
     reps_done = [spec.reps] * len(tasks)
 
@@ -124,13 +131,6 @@ def run_adaptive_sweep(
             runs[i].extend(extra)
             reps_done[i] += len(extra)
 
-    cells = {
-        (
-            make_platform(t.kind, t.instance, t.mode).label(),
-            t.instance.name,
-        ): ExperimentResult(cell_runs)
-        for t, cell_runs in zip(tasks, runs)
-    }
     if jl.enabled:
         # Cells that exhausted the rep cap while the policy still wanted
         # more: surfaced for the `ci-unconverged` health rule.
@@ -149,9 +149,4 @@ def run_adaptive_sweep(
                 "unconverged": unconverged,
             },
         )
-    return SweepResult(
-        workload=spec.workload.name,
-        cells=cells,
-        instance_order=[i.name for i in spec.instances],
-        platform_order=platform_order,
-    )
+    return sweep_result(spec, tasks, runs)

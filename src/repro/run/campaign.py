@@ -1,16 +1,23 @@
-"""Full-paper campaigns: run every experiment in one call.
+"""Full-paper campaigns: one plan of cells, one assembler.
 
 A :class:`Campaign` bundles the complete evaluation of the paper —
 Figs. 3-6 sweeps, the Fig. 7 CHR hosts, the Fig. 8 multitasking pair,
 and the Section IV-A CHR bands — with one knob for fidelity (repetition
-counts).  :func:`run_campaign` executes it and returns a
-:class:`CampaignResult` that the report generator
-(:func:`repro.analysis.report.generate_report`) turns into a standalone
-markdown document.
+counts).  This module owns the campaign's *plan*: :func:`campaign_cells`
+lists every cell in one fixed order, :func:`plan_fingerprint` hashes
+that order, and :func:`assemble_result` is the only code that turns
+per-cell runs into a :class:`CampaignResult`.  :func:`run_campaign`
+runs the plan in one :meth:`~repro.run.parallel.ParallelRunner.run_tasks`
+call; a fabric queue (:mod:`repro.fabric`) runs slices of the same plan
+in many processes and merges them through the same assembler.  The
+report generator (:func:`repro.analysis.report.generate_report`) turns
+the result into a standalone markdown document.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -32,10 +39,11 @@ from repro.run.calibration import Calibration
 from repro.run.experiment import (
     ExperimentSpec,
     platform_sweep_spec,
-    run_platform_sweep,
+    sweep_result,
 )
-from repro.run.parallel import CellTask, ParallelRunner, execute_cell
-from repro.run.results import SweepResult
+from repro.run.parallel import CellTask, ParallelRunner, cell_tasks, execute_cell
+from repro.run.persistence import task_fingerprint
+from repro.run.results import RunResult, SweepResult
 from repro.workloads.cassandra import CassandraWorkload
 from repro.workloads.ffmpeg import FfmpegWorkload
 from repro.workloads.mpi import MpiSearchWorkload
@@ -48,13 +56,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "Campaign",
     "CampaignResult",
+    "CellRef",
     "DEFAULT_EXPERIMENTS",
     "KNOWN_EXPERIMENTS",
     "SWEEP_EXPERIMENTS",
+    "assemble_result",
+    "campaign_cells",
     "fig7_tasks",
     "fig8_tasks",
     "loadcurve_platform_order",
     "loadcurve_tasks",
+    "plan_fingerprint",
     "run_campaign",
     "sweep_spec",
 ]
@@ -154,10 +166,9 @@ class CampaignResult:
 
 
 def sweep_spec(campaign: Campaign, fig: str) -> "ExperimentSpec":
-    """The exact spec :func:`run_campaign` would execute for one of the
-    Figs. 3-6 sweeps — the unit other executors (fabric workers, the
-    adaptive loop) must reproduce to stay byte-identical with the serial
-    campaign."""
+    """The spec of one of the Figs. 3-6 sweeps of ``campaign``: its
+    cells are that figure's part of :func:`campaign_cells`, and the
+    adaptive path runs it under a rep-allocation policy."""
     table = {
         "fig3": (FfmpegWorkload(), instance_types_upto(16), campaign.reps_fast),
         "fig4": (
@@ -322,16 +333,127 @@ def loadcurve_tasks(
     return tasks, keys
 
 
-def _run_cell_summaries(
-    runner: ParallelRunner,
-    tasks: list[CellTask],
-    keys: list[tuple[str, str]],
-) -> dict[tuple[str, str], StatSummary]:
-    results = runner.run_tasks(execute_cell, tasks)
-    return {
-        key: summarize([r.value for r in runs])
-        for key, runs in zip(keys, results)
-    }
+@dataclass(frozen=True)
+class CellRef:
+    """One campaign cell in plan order: task, position, and identity."""
+
+    exp: str
+    index: int
+    task: CellTask
+    key: str
+
+
+def campaign_cells(campaign: Campaign) -> list[CellRef]:
+    """Every cell of ``campaign``, in plan order.
+
+    The plan is the included experiments in :data:`KNOWN_EXPERIMENTS`
+    order, each in its own cell order.  Every executor runs this list
+    (or a slice of it) and :func:`assemble_result` reads it back.
+    """
+    refs: list[CellRef] = []
+    for fig in KNOWN_EXPERIMENTS:
+        if fig not in campaign.include:
+            continue
+        if fig in SWEEP_EXPERIMENTS:
+            tasks = cell_tasks(sweep_spec(campaign, fig))
+        elif fig == "fig7":
+            tasks, _ = fig7_tasks(campaign)
+        elif fig == "fig8":
+            tasks, _ = fig8_tasks(campaign)
+        else:
+            tasks, _ = loadcurve_tasks(campaign)
+        for i, task in enumerate(tasks):
+            key = task_fingerprint(task)
+            if key is None:  # pragma: no cover - cell tasks always hash
+                raise ConfigurationError(
+                    f"cell {task.label} of {fig} is not fingerprintable"
+                )
+            refs.append(CellRef(exp=fig, index=i, task=task, key=key))
+    return refs
+
+
+def plan_fingerprint(refs: list[CellRef]) -> str:
+    """Stable hex digest of the ordered cell identities."""
+    blob = json.dumps([(r.exp, r.index, r.key) for r in refs])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+
+
+def assemble_result(
+    campaign: Campaign,
+    runs_by_key: dict[str, list[RunResult]],
+    *,
+    sweeps: dict[str, SweepResult] | None = None,
+) -> CampaignResult:
+    """Build the :class:`CampaignResult` of ``campaign`` from per-cell runs.
+
+    ``runs_by_key`` maps each cell's store key (:attr:`CellRef.key`) to
+    its measured repetitions, whichever executor produced them: the
+    serial, pool, batched or resumed :func:`run_campaign`, or a fabric
+    merge loading them from the queue's checkpoint store.  ``sweeps``
+    holds Figs. 3-6 sweeps built elsewhere (the adaptive path); their
+    cells need no runs.  Every derived number depends only on the
+    measured values, so the report is byte-identical across executors.
+    """
+    by_exp: dict[str, list[CellRef]] = {}
+    for ref in campaign_cells(campaign):
+        by_exp.setdefault(ref.exp, []).append(ref)
+
+    def runs(fig: str) -> list[list[RunResult]]:
+        out = []
+        for ref in by_exp[fig]:
+            try:
+                out.append(runs_by_key[ref.key])
+            except KeyError:
+                raise ConfigurationError(
+                    f"cell {ref.task.label} ({ref.exp}) has no runs under "
+                    f"fingerprint {ref.key}"
+                ) from None
+        return out
+
+    def summaries(fig: str, keys) -> dict[tuple[str, str], StatSummary]:
+        return {
+            key: summarize([run.value for run in cell_runs])
+            for key, cell_runs in zip(keys, runs(fig))
+        }
+
+    given = sweeps or {}
+    built: dict[str, SweepResult] = {}
+    for fig in SWEEP_EXPERIMENTS:
+        if fig in given:
+            built[fig] = given[fig]
+        elif fig in campaign.include:
+            built[fig] = sweep_result(
+                sweep_spec(campaign, fig),
+                [r.task for r in by_exp[fig]],
+                runs(fig),
+            )
+
+    chr_bands: dict[str, ChrRange] = {}
+    for fig, name in (
+        ("fig3", "FFmpeg"), ("fig5", "WordPress"), ("fig6", "Cassandra")
+    ):
+        if fig in built:
+            chr_bands[name] = estimate_suitable_chr_range(
+                built[fig], campaign.host
+            )
+
+    fig7: dict[tuple[str, str], StatSummary] = {}
+    if "fig7" in campaign.include:
+        fig7 = summaries("fig7", fig7_tasks(campaign)[1])
+    fig8: dict[tuple[str, str], StatSummary] = {}
+    if "fig8" in campaign.include:
+        fig8 = summaries("fig8", fig8_tasks(campaign)[1])
+    loadcurve: LoadCurveResult | None = None
+    if "loadcurve" in campaign.include:
+        loadcurve = build_loadcurve(
+            campaign.loadcurve,
+            loadcurve_platform_order(campaign.loadcurve),
+            zip(loadcurve_tasks(campaign)[1], runs("loadcurve")),
+        )
+    return CampaignResult(
+        sweeps=built, chr_bands=chr_bands, fig7=fig7, fig8=fig8,
+        loadcurve=loadcurve,
+    )
 
 
 def run_campaign(
@@ -341,6 +463,11 @@ def run_campaign(
     reps_policy: "AdaptiveRepsPolicy | None" = None,
 ) -> CampaignResult:
     """Execute the full evaluation and return everything measured.
+
+    The campaign's cells (:func:`campaign_cells`) run in one
+    :meth:`~repro.run.parallel.ParallelRunner.run_tasks` call, so a pool
+    runner starts one pool and never waits at a figure boundary;
+    :func:`assemble_result` then builds the result.
 
     Parameters
     ----------
@@ -356,22 +483,23 @@ def run_campaign(
         reports.  A runner with a checkpoint store persists every cell
         as it finishes and resumes a crashed or repeated campaign
         (verified cells replay, only missing or corrupt ones
-        re-execute).  Sweep spans open under ``runner.tracer``, which
+        re-execute).  Cell spans open under ``runner.tracer``, which
         its owner closes.  An enabled ``runner.faults`` is armed on the
         checkpoint store and the journal for the length of the call.
     reps_policy:
         Optional :class:`~repro.analysis.adaptive.AdaptiveRepsPolicy`.
         When given, the Figs. 3-6 sweeps run the CI-width rep
         allocator (:func:`repro.run.adaptive.run_adaptive_sweep`)
-        instead of a uniform repetition count: every cell starts at the
-        policy's base reps and only cells whose confidence interval is
-        still wider than the target receive more, capped at the
-        figure's uniform count (or ``policy.max_reps``).  Allocation
-        decisions derive only from seed-deterministic measured values,
-        so the result is a pure function of (campaign, policy) —
-        resumable and byte-stable like the uniform path, cell
-        checkpoints included; Figs. 7-8 are unaffected (fixed reps by
-        design).
+        instead of a uniform repetition count, one sweep after the
+        other; the remaining experiments then run as one plan.  Every
+        cell starts at the policy's base reps and only cells whose
+        confidence interval is still wider than the target receive
+        more, capped at the figure's uniform count (or
+        ``policy.max_reps``).  Allocation decisions derive only from
+        seed-deterministic measured values, so the result is a pure
+        function of (campaign, policy) — resumable and byte-stable like
+        the uniform path, cell checkpoints included; Figs. 7-8 are
+        unaffected (fixed reps by design).
     """
     campaign = campaign or Campaign()
     runner = runner or ParallelRunner()
@@ -403,81 +531,30 @@ def run_campaign(
                 label="campaign",
                 detail=",".join(campaign.include),
             )
-        big = [instance_type(n) for n in _BIG]
         sweeps: dict[str, SweepResult] = {}
+        if reps_policy is not None:
+            from repro.run.adaptive import run_adaptive_sweep
 
-        def sweep(fig, workload, instances, reps) -> SweepResult:
-            with tracer.span("sweep", fig):
-                if reps_policy is not None:
-                    from repro.run.adaptive import run_adaptive_sweep
-
-                    return run_adaptive_sweep(
-                        workload,
-                        instances,
+            for fig in SWEEP_EXPERIMENTS:
+                if fig in campaign.include:
+                    spec = sweep_spec(campaign, fig)
+                    sweeps[fig] = run_adaptive_sweep(
+                        spec.workload,
+                        spec.instances,
                         reps_policy,
-                        host=campaign.host,
-                        reps=reps,
-                        calib=campaign.calib,
-                        seed=campaign.seed,
+                        host=spec.host,
+                        reps=spec.reps,
+                        calib=spec.calib,
+                        seed=spec.seed,
                         runner=runner,
                     )
-                return run_platform_sweep(
-                    workload,
-                    instances,
-                    host=campaign.host,
-                    reps=reps,
-                    calib=campaign.calib,
-                    seed=campaign.seed,
-                    runner=runner,
-                )
-
-        if "fig3" in campaign.include:
-            sweeps["fig3"] = sweep(
-                "fig3", FfmpegWorkload(), instance_types_upto(16),
-                campaign.reps_fast,
-            )
-        if "fig4" in campaign.include:
-            sweeps["fig4"] = sweep(
-                "fig4", MpiSearchWorkload(), big, campaign.reps_fast
-            )
-        if "fig5" in campaign.include:
-            sweeps["fig5"] = sweep(
-                "fig5", WordPressWorkload(), big, campaign.reps_io
-            )
-        if "fig6" in campaign.include:
-            sweeps["fig6"] = sweep(
-                "fig6", CassandraWorkload(), big, campaign.reps_io
-            )
-
-        chr_bands: dict[str, ChrRange] = {}
-        for fig, name in (
-            ("fig3", "FFmpeg"), ("fig5", "WordPress"), ("fig6", "Cassandra")
-        ):
-            if fig in sweeps:
-                chr_bands[name] = estimate_suitable_chr_range(
-                    sweeps[fig], campaign.host
-                )
-
-        fig7: dict[tuple[str, str], StatSummary] = {}
-        if "fig7" in campaign.include:
-            with tracer.span("sweep", "fig7"):
-                fig7 = _run_cell_summaries(runner, *fig7_tasks(campaign))
-        fig8: dict[tuple[str, str], StatSummary] = {}
-        if "fig8" in campaign.include:
-            with tracer.span("sweep", "fig8"):
-                fig8 = _run_cell_summaries(runner, *fig8_tasks(campaign))
-
-        loadcurve: LoadCurveResult | None = None
-        if "loadcurve" in campaign.include:
-            with tracer.span("sweep", "loadcurve"):
-                tasks, keys = loadcurve_tasks(campaign)
-                runs = runner.run_tasks(execute_cell, tasks)
-            loadcurve = build_loadcurve(
-                campaign.loadcurve,
-                loadcurve_platform_order(campaign.loadcurve),
-                zip(keys, runs),
-            )
-
+        refs = [r for r in campaign_cells(campaign) if r.exp not in sweeps]
+        runs = runner.run_tasks(execute_cell, [r.task for r in refs])
+        result = assemble_result(
+            campaign,
+            {r.key: cell_runs for r, cell_runs in zip(refs, runs)},
+            sweeps=sweeps,
+        )
         if jl.enabled:
             jl.record(
                 "campaign-finished",
@@ -489,7 +566,4 @@ def run_campaign(
             faults.tracer = None
         for obj, prev in reversed(armed):
             obj.faults = prev
-    return CampaignResult(
-        sweeps=sweeps, chr_bands=chr_bands, fig7=fig7, fig8=fig8,
-        loadcurve=loadcurve,
-    )
+    return result

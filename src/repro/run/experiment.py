@@ -19,21 +19,22 @@ from repro.errors import ConfigurationError
 from repro.hostmodel.topology import HostTopology, r830_host
 from repro.platforms.base import PlatformKind
 from repro.platforms.provisioning import InstanceType
-from repro.platforms.registry import paper_platform_set
+from repro.platforms.registry import make_platform, paper_platform_set
 from repro.rng import DEFAULT_SEED
 from repro.run.calibration import Calibration
-from repro.run.results import SweepResult
+from repro.run.results import ExperimentResult, RunResult, SweepResult
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.run.parallel import ParallelRunner
+    from repro.run.parallel import CellTask, ParallelRunner
 
 __all__ = [
     "ExperimentSpec",
     "platform_sweep_spec",
     "run_experiment",
     "run_platform_sweep",
+    "sweep_result",
 ]
 
 
@@ -89,9 +90,10 @@ def run_experiment(
     platforms, so platform comparisons at a given rep see identical
     workload realizations (paired design, tighter overhead ratios).
 
-    Every sweep runs through :meth:`ParallelRunner.run_experiment
-    <repro.run.parallel.ParallelRunner.run_experiment>`; a serial sweep
-    is a one-job runner, which runs every cell inline in this process.
+    The sweep's cells (:func:`~repro.run.parallel.cell_tasks`) run in
+    one :meth:`~repro.run.parallel.ParallelRunner.run_tasks` call; a
+    serial sweep is a one-job runner, which runs every cell inline in
+    this process.
 
     Execution options live on ``runner`` (default: a one-job
     :class:`~repro.run.parallel.ParallelRunner`): its ``jobs``,
@@ -102,14 +104,15 @@ def run_experiment(
     ``RunResult.dist`` (see :mod:`repro.obs.sketch`); a journaled sweep
     also records each cell's merged sketches as a ``cell-dist`` event.
     """
-    from repro.run.parallel import ParallelRunner
+    from repro.run.parallel import ParallelRunner, cell_tasks, execute_cell
 
     runner = runner or ParallelRunner()
     jl = runner.journal
     if jl.enabled:
         jl.record("sweep-started", label=spec.workload.name)
     t0 = time.perf_counter()
-    sweep = runner.run_experiment(spec)
+    tasks = cell_tasks(spec)
+    sweep = sweep_result(spec, tasks, runner.run_tasks(execute_cell, tasks))
     if jl.enabled:
         jl.record(
             "sweep-finished",
@@ -117,6 +120,31 @@ def run_experiment(
             duration=time.perf_counter() - t0,
         )
     return sweep
+
+
+def sweep_result(
+    spec: ExperimentSpec,
+    tasks: "list[CellTask]",
+    runs: list[list[RunResult]],
+) -> SweepResult:
+    """The result grid of ``spec`` from its cells' measured runs.
+
+    ``tasks`` are the sweep's cells in
+    :func:`~repro.run.parallel.cell_tasks` order and ``runs`` their
+    repetitions, in the same order.  Every sweep result is built here:
+    :func:`run_experiment`, the adaptive sweep and the campaign
+    assembler (:func:`repro.run.campaign.assemble_result`).
+    """
+    labels = [make_platform(t.kind, t.instance, t.mode).label() for t in tasks]
+    return SweepResult(
+        workload=spec.workload.name,
+        cells={
+            (label, t.instance.name): ExperimentResult(cell_runs)
+            for label, t, cell_runs in zip(labels, tasks, runs)
+        },
+        instance_order=[i.name for i in spec.instances],
+        platform_order=labels[: len(spec.platform_grid)],
+    )
 
 
 def platform_sweep_spec(
@@ -131,8 +159,8 @@ def platform_sweep_spec(
     """The :class:`ExperimentSpec` of the standard seven-platform sweep.
 
     Exposed separately from :func:`run_platform_sweep` so callers can
-    build the exact spec a sweep would run (its cells, its
-    :func:`~repro.run.persistence.spec_fingerprint`) without running it.
+    build the exact spec a sweep would run (and its cells) without
+    running it.
     """
     if not instances:
         raise ConfigurationError("instances must be non-empty")

@@ -90,7 +90,7 @@ from repro.run.calibration import Calibration
 from repro.run.execution import finish_run, prepare_run, run_cell
 from repro.run.experiment import ExperimentSpec
 from repro.run.persistence import CellStore, task_fingerprint
-from repro.run.results import ExperimentResult, RunResult, SweepResult
+from repro.run.results import RunResult
 from repro.sched.affinity import ProvisioningMode
 from repro.workloads.base import Workload
 
@@ -339,23 +339,15 @@ class _TaskSet:
     done: int = 0
 
 
-def cell_tasks(spec: ExperimentSpec) -> tuple[list[CellTask], list[str]]:
+def cell_tasks(spec: ExperimentSpec) -> list[CellTask]:
     """Decompose a sweep spec into cell tasks, in serial iteration order.
 
-    Returns the tasks plus the platform label order of the sweep.  The
-    stream labels reproduce the serial paired design: the *same* stream
-    per (workload, instance, rep) across platforms.
+    The stream labels reproduce the serial paired design: the *same*
+    stream per (workload, instance, rep) across platforms.
     """
     factory = RngFactory(seed=spec.seed)
     tasks: list[CellTask] = []
-    platform_order: list[str] = []
     for instance in spec.instances:
-        labels = [
-            make_platform(kind, instance, mode).label()
-            for kind, mode in spec.platform_grid
-        ]
-        if not platform_order:
-            platform_order = labels
         for kind, mode in spec.platform_grid:
             streams = tuple(
                 factory.stream_spec(
@@ -374,7 +366,7 @@ def cell_tasks(spec: ExperimentSpec) -> tuple[list[CellTask], list[str]]:
                     streams=streams,
                 )
             )
-    return tasks, platform_order
+    return tasks
 
 
 class ParallelRunner:
@@ -911,33 +903,6 @@ class ParallelRunner:
                     attempt=attempt,
                     detail=detail,
                 )
-
-    # -- sweep execution ----------------------------------------------------
-
-    def run_experiment(self, spec: ExperimentSpec) -> SweepResult:
-        """Run one sweep; :func:`repro.run.experiment.run_experiment`
-        calls this for every sweep, serial ones included.
-
-        Decomposes the sweep into cell tasks, runs them, and reassembles
-        the grid in serial order — the returned :class:`SweepResult` is
-        field-for-field identical at any job count, batched or not, at
-        the same seed.
-        """
-        tasks, platform_order = cell_tasks(spec)
-        cell_runs = self.run_tasks(execute_cell, tasks)
-        cells = {
-            (
-                make_platform(t.kind, t.instance, t.mode).label(),
-                t.instance.name,
-            ): ExperimentResult(runs)
-            for t, runs in zip(tasks, cell_runs)
-        }
-        return SweepResult(
-            workload=spec.workload.name,
-            cells=cells,
-            instance_order=[i.name for i in spec.instances],
-            platform_order=platform_order,
-        )
 
 
 def _label(payload, index: int) -> str:

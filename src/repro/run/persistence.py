@@ -30,14 +30,12 @@ from pathlib import Path
 
 from repro.errors import PersistenceConflictError
 from repro.faults import NULL_INJECTOR, FaultInjector
-from repro.run.experiment import ExperimentSpec
 from repro.run.results import RunResult
 
 __all__ = [
     "CellStore",
     "atomic_write_json",
     "atomic_write_text",
-    "spec_fingerprint",
     "task_fingerprint",
 ]
 
@@ -60,30 +58,6 @@ def _jsonable(value):
     if hasattr(value, "name"):  # enums, workload classes
         return getattr(value, "name")
     return repr(value)
-
-
-def spec_fingerprint(spec: ExperimentSpec) -> str:
-    """Stable hex digest of everything that determines a sweep's outcome."""
-    payload = {
-        "workload_type": type(spec.workload).__name__,
-        "workload": _jsonable(
-            spec.workload.__dict__
-            if not dataclasses.is_dataclass(spec.workload)
-            else spec.workload
-        ),
-        "instances": [
-            (i.name, i.cores, i.memory_bytes) for i in spec.instances
-        ],
-        "platform_grid": [
-            (k.value, m.value) for k, m in spec.platform_grid
-        ],
-        "host": _jsonable(spec.host),
-        "reps": spec.reps,
-        "seed": spec.seed,
-        "calibration": _jsonable(spec.calib),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
 def task_fingerprint(task) -> str | None:

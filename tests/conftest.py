@@ -18,7 +18,8 @@ from repro import (
 from repro.hostmodel.topology import make_host, small_host
 from repro.run.campaign import Campaign, run_campaign, sweep_spec
 from repro.run.experiment import platform_sweep_spec
-from repro.run.persistence import spec_fingerprint
+from repro.run.parallel import cell_tasks
+from repro.run.persistence import task_fingerprint
 
 
 @pytest.fixture(scope="session")
@@ -76,13 +77,16 @@ def paper_campaign():
 @pytest.fixture(scope="session")
 def paper_sweep(paper_campaign):
     """``paper_sweep(fig, workload, instances)``: the campaign's ``fig``
-    sweep, after checking it has the spec of
+    sweep, after checking it has the cells, in order, of
     ``run_platform_sweep(workload, instances, reps=1)``."""
 
+    def cells(spec) -> list[str]:
+        return [task_fingerprint(t) for t in cell_tasks(spec)]
+
     def sweep(fig, workload, instances):
-        shared = spec_fingerprint(sweep_spec(_paper_campaign(), fig))
-        own = spec_fingerprint(platform_sweep_spec(workload, instances, reps=1))
-        assert shared == own, f"{fig}: shared sweep has a different spec"
+        shared = cells(sweep_spec(_paper_campaign(), fig))
+        own = cells(platform_sweep_spec(workload, instances, reps=1))
+        assert shared == own, f"{fig}: shared sweep has different cells"
         return paper_campaign.sweep(fig)
 
     return sweep

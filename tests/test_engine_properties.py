@@ -273,12 +273,12 @@ class TestExecutorDeterminism:
         spec = _tiny_sweep_spec(seed)
         base = json.dumps(run_experiment(spec).to_dict(), sort_keys=True)
         store = CellStore(Path(tempfile.mkdtemp()) / "cells")
-        first = ParallelRunner(1, checkpoint=store).run_experiment(spec)
+        first = run_experiment(spec, runner=ParallelRunner(1, checkpoint=store))
         assert json.dumps(first.to_dict(), sort_keys=True) == base
         jl = MemoryJournal()
-        second = ParallelRunner(
-            1, checkpoint=store, journal=jl
-        ).run_experiment(spec)
+        second = run_experiment(
+            spec, runner=ParallelRunner(1, checkpoint=store, journal=jl)
+        )
         assert json.dumps(second.to_dict(), sort_keys=True) == base
         # every cell (3 platforms x 1 instance) was replayed from the
         # checkpoint, none re-executed

@@ -609,7 +609,14 @@ class TestAdaptiveReps:
     def test_extension_reps_continue_stream_sequence(self):
         """Rep r of a cell draws the same stream whether granted late or
         up front — the unbiasedness contract of adaptive allocation."""
-        camp = Campaign(reps_fast=6, include=("fig3",))
+        from repro.analysis.loadcurve import LoadCurveConfig
+
+        # fig3 runs adaptively, the load ladder as the rest of the plan;
+        # one assembler builds both
+        camp = Campaign(
+            reps_fast=6, include=("fig3", "loadcurve"),
+            loadcurve=LoadCurveConfig(rates=(50.0, 100.0), n_requests=8, reps=1),
+        )
         # force every cell to the cap: adaptive == uniform, grown in rounds
         policy = AdaptiveRepsPolicy(base_reps=2, target_rel_ci=1e-9, round_reps=2)
         adaptive = run_campaign(camp, reps_policy=policy)

@@ -307,6 +307,27 @@ class TestJournalTruncate:
         assert [e.label for e in events] == ["a", "c"]
 
 
+    def test_nothing_lands_after_a_torn_append(self, tmp_path):
+        """Events emitted while the simulated crash unwinds (a closing
+        span) stay off the file, so the torn line is the tail a resume
+        trims and the journal parses strictly again."""
+        path = tmp_path / "j.jsonl"
+        inj = FaultInjector(
+            FaultPlan(specs=(FaultSpec(site="journal.truncate", at=2),))
+        )
+        jl = JsonlJournal(path, faults=inj)
+        jl.record("run-started", label="a")
+        with pytest.raises(InjectedCrash):
+            jl.record("run-started", label="b")
+        jl.record("span", label="unwound")
+        jl.close()
+        resumed = JsonlJournal(path, append=True)
+        resumed.record("run-finished", label="c")
+        resumed.close()
+        events = read_journal(path, strict=True)
+        assert [e.label for e in events] == ["a", "c"]
+
+
 # -- seeded chaos campaigns ------------------------------------------------
 
 

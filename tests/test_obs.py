@@ -231,7 +231,7 @@ class TestJournalFromRuns:
         jl = MemoryJournal()
         spec = tiny_spec()
         run_experiment(spec, runner=ParallelRunner(journal=jl))
-        n = len(cell_tasks(spec)[0])
+        n = len(cell_tasks(spec))
         assert jl.count("sweep-started") == 1
         assert jl.count("sweep-finished") == 1
         assert jl.count("cell-queued") == n
@@ -550,7 +550,7 @@ class TestMetricsRegistry:
         jl = MemoryJournal()
         spec = tiny_spec()
         runner = ParallelRunner(1, journal=jl)
-        tasks, _ = cell_tasks(spec)
+        tasks = cell_tasks(spec)
         runner.run_tasks(execute_cell, tasks)
         reg = journal_to_metrics(jl.events)
         assert reg.counter("repro_cells_completed_total").value == len(tasks)

@@ -25,7 +25,12 @@ from repro import (
 from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.platforms.base import PlatformKind
 from repro.rng import StreamSpec
-from repro.run.campaign import Campaign, run_campaign
+from repro.run.campaign import (
+    Campaign,
+    campaign_cells,
+    plan_fingerprint,
+    run_campaign,
+)
 from repro.errors import AttemptFailure
 from repro.run.experiment import ExperimentSpec, platform_sweep_spec
 from repro.run.parallel import (
@@ -174,6 +179,38 @@ class TestSerialParallelEquivalence:
         assert (a == b).all()
 
 
+class TestCampaignPlan:
+    def test_default_plan_is_pinned(self):
+        """The default campaign's cells, in order: moving or rewriting
+        the plan cannot reorder cells silently."""
+        refs = campaign_cells(Campaign())
+        assert len(refs) == 143
+        assert plan_fingerprint(refs) == "89363f44340a3b9a2aef3eca"
+
+    def test_pool_campaign_runs_one_plan_in_one_pool(self, monkeypatch):
+        """Every figure's cells go to one run_tasks call and one pool:
+        no barrier between figures."""
+        calls = {"run_tasks": 0, "pools": 0}
+        run_tasks = ParallelRunner.run_tasks
+        new_executor = ParallelRunner._new_executor
+
+        def counted_run_tasks(self, worker, payloads):
+            calls["run_tasks"] += 1
+            return run_tasks(self, worker, payloads)
+
+        def counted_executor(self):
+            calls["pools"] += 1
+            return new_executor(self)
+
+        monkeypatch.setattr(ParallelRunner, "run_tasks", counted_run_tasks)
+        monkeypatch.setattr(ParallelRunner, "_new_executor", counted_executor)
+        run_campaign(
+            Campaign(reps_fast=1, include=("fig7", "fig8")),
+            runner=ParallelRunner(2),
+        )
+        assert calls == {"run_tasks": 1, "pools": 1}
+
+
 class TestLargeNGolden:
     def test_multitask_split30_matches_pre_refactor_engine(self):
         """480 threads with barriers on a 16-core instance — the largest
@@ -209,7 +246,7 @@ class TestFailureInjection:
         """A worker that raises once is retried; the final sweep is
         byte-identical to the clean parallel run."""
         spec = tiny_spec(seed=4)
-        tasks, platform_order = cell_tasks(spec)
+        tasks = cell_tasks(spec)
         clean = ParallelRunner(4).run_tasks(execute_cell, tasks)
 
         sentinel = str(tmp_path / "crash-once")
@@ -227,7 +264,7 @@ class TestFailureInjection:
         """os._exit in a worker breaks the executor; the runner rebuilds
         it and still completes with correct results."""
         spec = tiny_spec(seed=5, instances=("Large",))
-        tasks, _ = cell_tasks(spec)
+        tasks = cell_tasks(spec)
         sentinel = str(tmp_path / "die-once")
         payloads = [(t, sentinel) for t in tasks]
         results = ParallelRunner(2, retries=2).run_tasks(
@@ -246,7 +283,7 @@ class TestFailureInjection:
         and results identical to the inline run."""
         from concurrent.futures.process import BrokenProcessPool
 
-        tasks, _ = cell_tasks(tiny_spec(seed=6, instances=("Large",)))
+        tasks = cell_tasks(tiny_spec(seed=6, instances=("Large",)))
         built = []
         new_executor = ParallelRunner._new_executor
 
@@ -281,7 +318,7 @@ class TestFailureInjection:
 
         # patched before the pool forks, to a picklable module function
         monkeypatch.setattr(par, "_execute_batch_group", _failing_batch_group)
-        tasks, _ = cell_tasks(tiny_spec(seed=7, instances=("Large",)))
+        tasks = cell_tasks(tiny_spec(seed=7, instances=("Large",)))
         runner = ParallelRunner(2, retries=1, batch=True)
         with pytest.raises(ParallelExecutionError) as exc_info:
             runner.run_tasks(execute_cell, tasks)
@@ -358,7 +395,7 @@ class TestRunnerConfig:
 
     def test_cell_task_label(self):
         spec = tiny_spec(instances=("Large",))
-        tasks, _ = cell_tasks(spec)
+        tasks = cell_tasks(spec)
         assert tasks[0].label == "Synthetic/vanilla BM/Large"
 
 
@@ -380,7 +417,7 @@ class TestProgressReporting:
         n``; checkpoint-replayed cells (``warm``: every other cell was
         checkpointed beforehand) arrive first, as resumed
         :class:`CachedCell` payloads."""
-        tasks, _ = cell_tasks(tiny_spec(seed=2))
+        tasks = cell_tasks(tiny_spec(seed=2))
         store = CellStore(tmp_path / "cells") if warm else None
         if warm:
             ParallelRunner(1, checkpoint=store).run_tasks(
@@ -446,7 +483,7 @@ class TestCacheIntegration:
         )
         run_platform_sweep(wl, insts, reps=1, seed=3, runner=runner)
         spec = platform_sweep_spec(wl, insts, reps=1, seed=3)
-        tasks, _ = cell_tasks(spec)
+        tasks = cell_tasks(spec)
         assert [d for d, _, _ in events] == list(range(1, len(tasks) + 1))
         assert all(t == len(tasks) for _, t, _ in events)
         assert all(isinstance(p, CachedCell) for _, _, p in events)

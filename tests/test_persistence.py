@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-import subprocess
-import sys
+import dataclasses
 
 import pytest
 
 from repro import Calibration, SyntheticWorkload, instance_type
-from repro.hostmodel.topology import small_host
+from repro.hostmodel.topology import r830_host, small_host
 from repro.platforms.base import PlatformKind
+from repro.rng import RngFactory
 from repro.run.experiment import ExperimentSpec
-from repro.run.persistence import CellStore, spec_fingerprint, task_fingerprint
+from repro.run.parallel import CellTask
+from repro.run.persistence import CellStore, task_fingerprint
 from repro.sched.affinity import ProvisioningMode
 
 
@@ -30,92 +31,90 @@ def make_spec(reps=1, seed=1, work=0.05):
     )
 
 
+def make_task(reps=1, seed=1, work=0.05, **fields):
+    """One cell task; ``fields`` replace single task fields."""
+    factory = RngFactory(seed=seed)
+    task = CellTask(
+        workload=SyntheticWorkload(
+            threads_per_process=2, phases=2, compute_per_phase=work
+        ),
+        kind=PlatformKind.CN,
+        mode=ProvisioningMode.PINNED,
+        instance=instance_type("Large"),
+        host=r830_host(),
+        calib=Calibration(),
+        streams=tuple(
+            factory.stream_spec("fingerprint-cell", rep=rep)
+            for rep in range(reps)
+        ),
+    )
+    return dataclasses.replace(task, **fields)
+
+
+class _RenamedSynthetic(SyntheticWorkload):
+    """Same parameters as its parent, different workload identity."""
+
+
 class TestFingerprint:
     def test_stable(self):
-        assert spec_fingerprint(make_spec()) == spec_fingerprint(make_spec())
+        assert task_fingerprint(make_task()) == task_fingerprint(make_task())
 
     def test_changes_with_seed(self):
-        assert spec_fingerprint(make_spec(seed=1)) != spec_fingerprint(
-            make_spec(seed=2)
+        assert task_fingerprint(make_task(seed=1)) != task_fingerprint(
+            make_task(seed=2)
         )
 
     def test_changes_with_reps(self):
-        assert spec_fingerprint(make_spec(reps=1)) != spec_fingerprint(
-            make_spec(reps=2)
+        assert task_fingerprint(make_task(reps=1)) != task_fingerprint(
+            make_task(reps=2)
         )
 
     def test_changes_with_workload_params(self):
-        assert spec_fingerprint(make_spec(work=0.05)) != spec_fingerprint(
-            make_spec(work=0.06)
+        assert task_fingerprint(make_task(work=0.05)) != task_fingerprint(
+            make_task(work=0.06)
         )
 
     def test_changes_with_calibration(self):
-        a = make_spec()
-        b = make_spec()
-        b.calib = Calibration(ctx_switch_cost=1e-6)
-        assert spec_fingerprint(a) != spec_fingerprint(b)
+        assert task_fingerprint(make_task()) != task_fingerprint(
+            make_task(calib=Calibration(ctx_switch_cost=1e-6))
+        )
 
     def test_changes_with_host_topology(self):
-        a = make_spec()
-        b = make_spec()
-        b.host = small_host(16)
-        assert spec_fingerprint(a) != spec_fingerprint(b)
+        assert task_fingerprint(make_task()) != task_fingerprint(
+            make_task(host=small_host(16))
+        )
 
-    def test_changes_with_instance_list(self):
-        a = make_spec()
-        b = make_spec()
-        b.instances = [instance_type("xLarge")]
-        assert spec_fingerprint(a) != spec_fingerprint(b)
+    def test_changes_with_instance(self):
+        assert task_fingerprint(make_task()) != task_fingerprint(
+            make_task(instance=instance_type("xLarge"))
+        )
 
-    def test_changes_with_platform_grid(self):
-        a = make_spec()
-        b = make_spec()
-        b.platform_grid = [(PlatformKind.BM, ProvisioningMode.VANILLA)]
-        assert spec_fingerprint(a) != spec_fingerprint(b)
+    def test_changes_with_platform(self):
+        digests = {
+            task_fingerprint(make_task()),
+            task_fingerprint(make_task(kind=PlatformKind.VM)),
+            task_fingerprint(make_task(mode=ProvisioningMode.VANILLA)),
+        }
+        assert len(digests) == 3
 
     def test_each_single_ingredient_changes_it(self):
         """Every fingerprint ingredient is live: flipping any single one
         produces a distinct digest (and no two collide)."""
         variants = {
-            "base": make_spec(),
-            "seed": make_spec(seed=99),
-            "reps": make_spec(reps=3),
-            "workload": make_spec(work=0.07),
+            "base": make_task(),
+            "seed": make_task(seed=99),
+            "reps": make_task(reps=3),
+            "workload": make_task(work=0.07),
+            "workload type": make_task(
+                workload=_RenamedSynthetic(
+                    threads_per_process=2, phases=2, compute_per_phase=0.05
+                )
+            ),
+            "host": make_task(host=small_host(32)),
+            "calib": make_task(calib=Calibration(ctx_switch_cost=2e-6)),
         }
-        host_variant = make_spec()
-        host_variant.host = small_host(32)
-        variants["host"] = host_variant
-        calib_variant = make_spec()
-        calib_variant.calib = Calibration(ctx_switch_cost=2e-6)
-        variants["calib"] = calib_variant
-        digests = {k: spec_fingerprint(s) for k, s in variants.items()}
+        digests = {k: task_fingerprint(t) for k, t in variants.items()}
         assert len(set(digests.values())) == len(digests)
-
-    def test_stable_across_processes(self):
-        """The digest must not depend on per-process hash salt — a cache
-        written by one campaign process must hit in the next."""
-        code = (
-            "from repro import SyntheticWorkload, instance_type\n"
-            "from repro.platforms.base import PlatformKind\n"
-            "from repro.run.experiment import ExperimentSpec\n"
-            "from repro.run.persistence import spec_fingerprint\n"
-            "from repro.sched.affinity import ProvisioningMode\n"
-            "spec = ExperimentSpec(\n"
-            "    workload=SyntheticWorkload(threads_per_process=2, phases=2,\n"
-            "                               compute_per_phase=0.05),\n"
-            "    instances=[instance_type('Large')],\n"
-            "    platform_grid=[(PlatformKind.BM, ProvisioningMode.VANILLA),\n"
-            "                   (PlatformKind.CN, ProvisioningMode.PINNED)],\n"
-            "    reps=1, seed=1)\n"
-            "print(spec_fingerprint(spec))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == spec_fingerprint(make_spec())
 
     def test_stable_across_dict_orderings(self):
         """Attribute insertion order must not leak into the digest."""
@@ -130,14 +129,9 @@ class TestFingerprint:
                     self.alpha = 1
                 self.name = "duck"
 
-        def spec_with(wl):
-            s = make_spec()
-            s.workload = wl
-            return s
-
-        assert spec_fingerprint(
-            spec_with(DuckWorkload("ab"))
-        ) == spec_fingerprint(spec_with(DuckWorkload("ba")))
+        assert task_fingerprint(
+            make_task(workload=DuckWorkload("ab"))
+        ) == task_fingerprint(make_task(workload=DuckWorkload("ba")))
 
 
 def _sweep(spec, store, **kwargs):
@@ -183,7 +177,7 @@ class TestCache:
             calls.append(task)
             raise AssertionError("should not run")
 
-        tasks, _ = cell_tasks(spec)
+        tasks = cell_tasks(spec)
         runs = ParallelRunner(checkpoint=store).run_tasks(
             exploding_worker, tasks
         )
@@ -201,32 +195,12 @@ class TestCache:
 
         store = CellStore(tmp_path)
         spec = make_spec()
-        keys = [task_fingerprint(t) for t in cell_tasks(spec)[0]]
+        keys = [task_fingerprint(t) for t in cell_tasks(spec)]
         assert [store.load(k)[1] for k in keys] == ["miss", "miss"]
         _sweep(spec, store)
         assert [store.load(k)[1] for k in keys] == ["hit", "hit"]
-        other = [task_fingerprint(t) for t in cell_tasks(make_spec(seed=42))[0]]
+        other = [task_fingerprint(t) for t in cell_tasks(make_spec(seed=42))]
         assert [store.load(k)[1] for k in other] == ["miss", "miss"]
-
-
-def _cell_task(seed=7):
-    from repro.rng import RngFactory
-    from repro.run.parallel import CellTask
-
-    factory = RngFactory(seed=seed)
-    return CellTask(
-        workload=SyntheticWorkload(
-            threads_per_process=2, phases=2, compute_per_phase=0.05
-        ),
-        kind=PlatformKind.CN,
-        mode=ProvisioningMode.PINNED,
-        instance=instance_type("Large"),
-        host=small_host(16),
-        calib=Calibration(),
-        streams=tuple(
-            factory.stream_spec("persist-cell", rep=rep) for rep in range(2)
-        ),
-    )
 
 
 class TestAtomicWrites:
@@ -257,7 +231,7 @@ class TestAtomicWrites:
             FaultPlan(specs=(FaultSpec(site="disk.full", at=1),), seed=0)
         )
         store = CellStore(tmp_path, faults=inj)
-        task = _cell_task()
+        task = make_task(reps=2, seed=7)
         key = task_fingerprint(task)
         runs = execute_cell(task)
         with pytest.raises(InjectedFault):
@@ -300,7 +274,7 @@ class TestCellStore:
         from repro.run.persistence import CellStore
 
         store = CellStore(tmp_path / "cells")
-        task = _cell_task()
+        task = make_task(reps=2, seed=7)
         key = task_fingerprint(task)
         assert key is not None
         assert store.load(key) == (None, "miss")
@@ -330,7 +304,7 @@ class TestCellStore:
             return json.dumps([r.to_dict() for r in runs])
 
         store = CellStore(tmp_path / "cells")
-        tasks = [_cell_task()]
+        tasks = [make_task(reps=2, seed=7)]
         [fresh] = ParallelRunner(1, checkpoint=store).run_tasks(
             execute_cell, tasks
         )
@@ -348,7 +322,7 @@ class TestCellStore:
         from repro.run.persistence import CellStore
 
         store = CellStore(tmp_path)
-        key = task_fingerprint(_cell_task())
+        key = task_fingerprint(make_task(reps=2, seed=7))
         store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
         store.path_for(key).write_text("not json")
         assert store.load(key) == (None, "corrupt")
@@ -360,10 +334,10 @@ class TestCellStore:
         from repro.run.persistence import CellStore
 
         store = CellStore(tmp_path)
-        task = _cell_task(seed=7)
+        task = make_task(reps=2, seed=7)
         key = task_fingerprint(task)
         store.put(key, execute_cell(task), label=task.label)
-        other = task_fingerprint(_cell_task(seed=8))
+        other = task_fingerprint(make_task(reps=2, seed=8))
         assert other != key
         # an entry copied under the wrong key fails verification
         shutil.copy(store.path_for(key), store.path_for(other))

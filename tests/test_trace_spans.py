@@ -363,7 +363,7 @@ class TestCampaignTracing:
     def test_serial_spans_cover_cells_and_phases(self, serial):
         _result, spans = serial
         kinds = {s.kind for s in spans}
-        assert {"campaign", "sweep", "cell", "phase"} <= kinds
+        assert {"campaign", "cell", "phase"} <= kinds
         names = {s.name for s in spans if s.kind == "phase"}
         assert {"compile", "advance", "checkpoint"} <= names
 
@@ -731,7 +731,11 @@ class TestUtilizationFinite:
 # -- health rules ------------------------------------------------------------
 
 
-def _shard_events(durations: dict[str, float], reclaims: int = 0):
+def _shard_events(
+    durations: dict[str, float], reclaims: int = 0, replayed=()
+):
+    """A merged journal: one cell per shard, executed unless the shard
+    is in ``replayed`` (then its cell is resumed from a checkpoint)."""
     events = []
     ts = 0.0
     for i, (label, duration) in enumerate(sorted(durations.items())):
@@ -739,6 +743,17 @@ def _shard_events(durations: dict[str, float], reclaims: int = 0):
             JournalEvent(
                 ts=ts, kind="shard-started", label=label, worker="w1",
                 extra={"shard": i, "generation": 1, "cells": 1},
+            )
+        )
+        events.append(
+            JournalEvent(
+                ts=ts, kind="cell-resumed", label=f"{label}/cell",
+                cell=f"{label}-cell", extra={"cached": True},
+            )
+            if label in replayed
+            else JournalEvent(
+                ts=ts, kind="cell-finished", label=f"{label}/cell",
+                cell=f"{label}-cell", worker="w1", duration=duration,
             )
         )
         events.append(
@@ -779,6 +794,21 @@ class TestHealthRules:
         )
         assert [v.subject for v in violations] == ["shard-0002"]
         assert violations[0].value == pytest.approx(9.0)
+
+    def test_straggler_median_skips_replayed_shards(self):
+        """A shard whose cells all replayed from checkpoints in ~0 s
+        does not pull the median down and flag an executing shard."""
+        durations = {
+            "shard-0000": 0.002, "shard-0001": 0.1, "shard-0002": 3.0,
+        }
+        events = _shard_events(durations, replayed=("shard-0000",))
+        assert not evaluate_health(
+            events, [HealthRule("straggler-shard", {"k": 3.0})]
+        )
+        shards = summarize_journal(events).shards
+        assert [shards[label].executed for label in sorted(durations)] == [
+            0, 1, 1,
+        ]
 
     def test_straggler_respects_min_shards(self):
         events = _shard_events({"shard-0000": 9.0})
