@@ -6,18 +6,23 @@ platform overheads, CHR, seed, instance size — while sharing the same
 compiled-program *shape* (identical segment kinds and per-thread segment
 layout).  The scalar :class:`~repro.engine.simulator.Simulator` advances
 one cell at a time, paying the interpreted-Python cost of every step per
-cell.  :class:`BatchSimulator` stacks the dynamic per-thread state of B
-such cells into ``(B, n_threads)`` structure-of-arrays tables and
-advances all of them together, one *wave* per iteration:
+cell.  :class:`BatchSimulator` stacks each cell's packed runnable set
+(:class:`~repro.engine.calendar.RunnableIndex`: slot tids, remaining
+work, platform penalty, contention coefficient) and the per-thread
+segment pointers and pending re-warm work of B such cells into
+``(B, n_threads)`` tables and advances all of them together, one *wave*
+per iteration:
 
 * the per-cell processor-sharing rate step (the hot loop's step 3/4) is
   computed for every cell of the wave with a handful of vectorized numpy
-  expressions over the stacked tables;
+  expressions over the slots ``[:, :W]``, where ``W`` is the largest
+  runnable count in the wave and lanes past a cell's own count are
+  masked off;
 * everything order-sensitive — wake-up delivery, barrier cascades,
   disk-queue feedback, segment transitions — runs through the *existing*
-  scalar methods (``_advance``, ``_advance_wave``, ``_issue_io``), which
-  keep working because each cell's ``Simulator`` attributes are rebound
-  to row views of the stacked tables.
+  scalar methods (``_advance``, ``_issue_io``), which keep working
+  because each cell's ``Simulator`` and runnable set are rebound to row
+  views of the stacked tables.
 
 Cells are **not** synchronized in simulated time: each keeps its own
 clock and event calendar, and a wave simply advances every cell by its
@@ -47,13 +52,11 @@ import math
 
 import numpy as np
 
-from repro.engine.calendar import EventCalendar
 from repro.engine.compile import KIND_COMPUTE
 from repro.engine.simulator import (
     _CAUSE_IO,
     _EPS,
     _PRE,
-    _WAVE_MIN,
     EngineResult,
     Simulator,
 )
@@ -85,9 +88,9 @@ _A_WAIT = 8
 _N_ACC = 9
 
 # Rate-record planes, gathered per (cell, runnable-count):
-# cfac, mig, num, busy, ev, useful, steady, background, migfac,
-# timeslice, wait (the _sg_record tuple minus the unused raw share).
-_N_REC = 11
+# cfac, mig, num, busy, ev, useful, steady, background, migfac, wait
+# (the _sg_record tuple minus the timeslice key and the raw share).
+_N_REC = 10
 
 # "never touched" sentinel of the timeslice first-touch table
 _IT_MAX = np.iinfo(np.int64).max
@@ -189,12 +192,12 @@ def run_batched(sims: list[Simulator]) -> list[EngineResult]:
 class BatchSimulator:
     """Advance B shape-identical simulations in lock-step waves.
 
-    The constructor *adopts* the given fresh sims: their dynamic
-    per-thread arrays are restacked into ``(B, n)`` tables and each
-    sim's attributes are rebound to row views, so the scalar advance
-    methods keep mutating shared storage.  After :meth:`run` the sims
-    are fully consistent scalar simulators again (ejected cells in fact
-    finish via ``Simulator.run()``).
+    The constructor *adopts* the given fresh sims: their runnable sets
+    and vectorized per-thread arrays are restacked into ``(B, n)``
+    tables and each sim's attributes are rebound to row views, so the
+    scalar advance methods keep mutating shared storage.  After
+    :meth:`run` the sims are fully consistent scalar simulators again
+    (ejected cells in fact finish via ``Simulator.run()``).
 
     Attributes
     ----------
@@ -227,47 +230,26 @@ class BatchSimulator:
         n = sims[0].n_threads
         self.n_threads = n
 
-        def stack(attr: str) -> np.ndarray:
-            return np.stack([getattr(s, attr) for s in sims])
-
-        # Dynamic per-thread state, stacked with a leading cell axis.
-        self._S = stack("state")
-        self._R = stack("remaining")
-        self._W = stack("wake")
-        self._SP = stack("seg_ptr")
-        self._MI = stack("mem_int")
-        self._PP = stack("platform_penalty")
-        self._FIN = stack("finish")
-        self._BC = stack("blocked_cause")
-        self._IDI = stack("is_disk_io")
-        self._BE = stack("barrier_enter")
-        self._PE = stack("pending_extra")
-        self._GM = stack("_gm")
-        self._RM = np.stack([s._index.mask for s in sims])
-
-        # Rebind each sim onto its row views.  The event calendar holds
-        # the wake array by reference, so it is recreated on the view
-        # (the only scheduled entries of a fresh sim are its arrivals,
-        # which the wake array itself records).
+        # Per-thread state the vectorized phases write (segment pointer,
+        # pending re-warm work) and each cell's packed runnable set
+        # (slot tids and the rate-step state of each slot), stacked with
+        # a leading cell axis.  Each sim is rebound onto its row views,
+        # so the scalar advance methods keep mutating shared storage.
+        self._SP = np.stack([s.seg_ptr for s in sims])
+        self._PE = np.stack([s.pending_extra for s in sims])
+        self._TID = np.stack([s._index.tids for s in sims])
+        self._REM = np.stack([s._index.rem for s in sims])
+        self._PP = np.stack([s._index.pp for s in sims])
+        self._GM = np.stack([s._index.gm for s in sims])
         for b, sim in enumerate(sims):
-            sim.state = self._S[b]
-            sim.remaining = self._R[b]
-            sim.wake = self._W[b]
             sim.seg_ptr = self._SP[b]
-            sim.mem_int = self._MI[b]
-            sim.platform_penalty = self._PP[b]
-            sim.finish = self._FIN[b]
-            sim.blocked_cause = self._BC[b]
-            sim.is_disk_io = self._IDI[b]
-            sim.barrier_enter = self._BE[b]
             sim.pending_extra = self._PE[b]
-            sim._gm = self._GM[b]
-            sim._index.mask = self._RM[b]
-            cal = EventCalendar(sim.wake)
-            for j in range(n):
-                if math.isfinite(sim.wake[j]):
-                    cal.schedule(j, float(sim.wake[j]))
-            sim._calendar = cal
+            index = sim._index
+            index.tids = self._TID[b]
+            index.rem = self._REM[b]
+            index.pp = self._PP[b]
+            index.gm = self._GM[b]
+        self._lanes = np.arange(n)
 
         # Per-cell scalars of the rate step.
         self._th = np.array([s._thrash0 for s in sims])
@@ -298,11 +280,13 @@ class BatchSimulator:
         self._MMf = self._MM.reshape(-1)
 
         # Flat views of the stacked dynamic state (np.stack yields
-        # C-contiguous arrays, so these alias the same storage).
-        self._Rf = self._R.reshape(-1)
+        # C-contiguous arrays, so these alias the same storage): the
+        # per-thread planes are indexed by cell * n + tid, the slot
+        # planes by cell * n + slot.
         self._SPf = self._SP.reshape(-1)
         self._PEf = self._PE.reshape(-1)
-        self._MIf = self._MI.reshape(-1)
+        self._TIDf = self._TID.reshape(-1)
+        self._REMf = self._REM.reshape(-1)
         self._PPf = self._PP.reshape(-1)
         self._GMf = self._GM.reshape(-1)
 
@@ -312,13 +296,13 @@ class BatchSimulator:
         self._rec_ok = np.zeros((B, n + 1), dtype=bool)
 
         # Timeslice-histogram accumulation.  The scalar loop adds one
-        # ``add_timeslice(ts, busy_dt)`` per step; here the busy weights
-        # accumulate per (cell, rounded-key id) with one ``np.add.at``
-        # per wave — the same chronological addition order per key, so
-        # the final dict values are bit-identical.  First-touch step
-        # numbers reproduce the scalar dict's insertion order, and two
-        # runnable-counts rounding to one key share one accumulator slot
-        # (exactly the scalar collision behaviour).
+        # histogram term per step; here the busy weights accumulate per
+        # (cell, key id) with one ``np.add.at`` per wave — the same
+        # chronological addition order per key, so the final dict values
+        # are bit-identical.  First-touch step numbers reproduce the
+        # scalar dict's insertion order, and two runnable-counts with one
+        # key share one accumulator slot (exactly the scalar collision
+        # behaviour).
         self._tsb = np.zeros((B, n + 1))
         self._ts_first = np.full((B, n + 1), _IT_MAX, dtype=np.int64)
         self._ts_kid: list[dict[float, int]] = [dict() for _ in range(B)]
@@ -346,13 +330,12 @@ class BatchSimulator:
         rec = sim._sg_cache.get(n_run)
         if rec is None:
             rec = sim._sg_record(n_run)
-        (cfac, mig, num, busy, ev, useful, steady, bg, migfac, ts,
+        (cfac, mig, num, busy, ev, useful, steady, bg, migfac, key,
          _share, wait) = rec
         self._rec[:, b, n_run] = (
-            cfac, mig, num, busy, ev, useful, steady, bg, migfac, ts, wait
+            cfac, mig, num, busy, ev, useful, steady, bg, migfac, wait
         )
         self._rec_ok[b, n_run] = True
-        key = round(float(ts), 6)
         kid_of = self._ts_kid[b]
         kid = kid_of.get(key)
         if kid is None:
@@ -444,7 +427,7 @@ class BatchSimulator:
                         if state[j] != _PRE and blocked_cause[j] == _CAUSE_IO:
                             if is_disk_io[j]:
                                 sim.outstanding_disk -= 1
-                        wake[j] = np.inf
+                        wake[j] = math.inf
                         sim._advance(j, tb)
                     NW[b] = cal.next_time()
                     nrc[b] = sim._index.count
@@ -472,15 +455,18 @@ class BatchSimulator:
                     for b, k in zip(w[need].tolist(), nr[need].tolist()):
                         self._fill_rec(b, int(k))
                 g = self._rec[:, w, nr]
-                RM = self._RM[w]
-                R = self._R[w]
-                cont = 1.0 + self._GM[w] * g[0][:, None]
-                slow = self._PP[w] * cont
+                # the packed slots [:W] of the fullest cell cover every
+                # cell's runnable set; lanes past a cell's count are off
+                W = int(nr.max())
+                lane = self._lanes[:W] < nr[:, None]
+                R = self._REM[w, :W]
+                cont = 1.0 + self._GM[w, :W] * g[0][:, None]
+                slow = self._PP[w, :W] * cont
                 slow *= g[1][:, None]
                 slow *= self._th[w][:, None]
                 rate = g[2][:, None] / slow
                 ttf = np.divide(
-                    R, rate, out=np.full_like(R, np.inf), where=RM
+                    R, rate, out=np.full_like(R, np.inf), where=lane
                 )
                 dt_fin = ttf.min(axis=1)
                 dt = np.minimum(dt_fin, NW[w] - T[w])
@@ -488,8 +474,8 @@ class BatchSimulator:
                 pos = dt > 0.0
                 if pos.any():
                     upd = R - rate * dt[:, None]
-                    np.copyto(R, upd, where=RM & pos[:, None])
-                    self._R[w] = R
+                    np.copyto(R, upd, where=lane & pos[:, None])
+                    self._REM[w, :W] = R
                     busy_dt = g[3] * dt
                     events = g[4] * dt
                     acc = self._acc
@@ -501,7 +487,7 @@ class BatchSimulator:
                     acc[_A_CGROUP, w] += g[6] * dt + events * self._cgsw[w]
                     acc[_A_MIGTIME, w] += busy_dt * g[8]
                     acc[_A_BG, w] += g[7] * dt
-                    acc[_A_WAIT, w] += g[10] * dt
+                    acc[_A_WAIT, w] += g[9] * dt
                     wp = w[pos]
                     kidv = self._kid[wp, nr[pos]]
                     np.add.at(self._tsb, (wp, kidv), busy_dt[pos])
@@ -518,16 +504,20 @@ class BatchSimulator:
 
                 # Phase C: completed compute segments (scalar step 5).
                 # An unmarked compute segment whose successor is another
-                # compute segment transitions with pure per-thread array
-                # writes — no calendar, index, counter or shared-state
-                # effects — so those advance vectorized across all wave
-                # cells at once through the flat views.  Everything else
-                # (thread done, IO/comm issue, barriers, marked ops)
-                # runs the existing order-sensitive scalar paths.
+                # compute segment transitions with pure per-thread and
+                # per-slot array writes — no calendar, index, counter or
+                # shared-state effects; the thread keeps its slot — so
+                # those advance vectorized across all wave cells at once
+                # through the flat views.  Everything else (thread done,
+                # IO/comm issue, barriers, marked ops) runs the existing
+                # order-sensitive scalar path, per cell in ascending tid
+                # order as the scalar loop visits them.
                 fin = ttf <= (dt + _EPS)[:, None]
-                kc, js = np.nonzero(fin)
+                kc, ks = np.nonzero(fin)
                 if kc.size:
                     bs = w[kc]
+                    slot = bs * n + ks
+                    js = self._TIDf[slot]
                     flat = bs * n + js
                     ptr = self._SPf[flat]
                     rows = SB[js] + ptr
@@ -540,33 +530,26 @@ class BatchSimulator:
                     )
                     if fast.any():
                         fe = flat[fast]
+                        fs = slot[fast]
                         fr = bs[fast] * total_rows + nrows[fast]
                         self._SPf[fe] = ptr[fast] + 1
-                        self._Rf[fe] = self._CWf[fr] + self._PEf[fe]
+                        self._REMf[fs] = self._CWf[fr] + self._PEf[fe]
                         self._PEf[fe] = 0.0
-                        m = self._CMf[fr]
-                        self._MIf[fe] = m
-                        self._PPf[fe] = self._CPf[fr]
-                        self._GMf[fe] = self._gamma_v[bs[fast]] * m
+                        self._PPf[fs] = self._CPf[fr]
+                        self._GMf[fs] = self._gamma_v[bs[fast]] * self._CMf[fr]
                     if not fast.all():
                         slow_i = np.nonzero(~fast)[0]
-                        rows_of: dict[int, list[int]] = {}
-                        for i in slow_i.tolist():
-                            rows_of.setdefault(int(bs[i]), []).append(
-                                int(js[i])
-                            )
-                        for b, rows_b in rows_of.items():
+                        tids_of: dict[int, list[int]] = {}
+                        for b, j in zip(
+                            bs[slow_i].tolist(), js[slow_i].tolist()
+                        ):
+                            tids_of.setdefault(b, []).append(j)
+                        for b, tids_b in tids_of.items():
+                            tids_b.sort()
                             sim = sims[b]
                             tb = float(T[b])
-                            if len(rows_b) >= _WAVE_MIN:
-                                sim._advance_wave(
-                                    np.asarray(rows_b, dtype=np.int64), tb
-                                )
-                            else:
-                                remaining = sim.remaining
-                                for j in rows_b:
-                                    remaining[j] = 0.0
-                                    sim._advance(j, tb)
+                            for j in tids_b:
+                                sim._advance(j, tb)
                             NW[b] = sim._calendar.next_time()
                             nrc[b] = sim._index.count
                             if sim.n_done == sim.n_threads:

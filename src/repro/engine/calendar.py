@@ -15,14 +15,15 @@ scans:
     stale heap entries are discarded whenever they surface at the top.
 
 :class:`RunnableIndex`
-    An incrementally-maintained index of the runnable thread set: a
-    boolean membership mask, the total count, per-group counts, and a
-    lazily materialised sorted index array.  The engine notifies the
-    index on every state transition (O(1) each); ``flatnonzero`` runs
-    only when the membership actually changed since the last query.
-    The per-group counts double as the cache key for the engine's
-    rate/efficiency/timeslice records: two steps with the same runnable
-    multiset per group share one cached record.
+    The runnable thread set as a packed array of slots: a runnable
+    thread owns one slot ``0 .. count-1``, and the per-slot arrays hold
+    its rate-step state (remaining work, platform penalty, contention
+    coefficient).  Adding appends a slot; removing moves the last slot
+    into the hole, so both are O(1) and the engine's rate step runs on
+    contiguous ``[:count]`` views with no scan, gather or scatter over
+    all threads.  The per-group counts double as the cache key for the
+    engine's rate/efficiency/timeslice records: two steps with the same
+    runnable multiset per group share one cached record.
 
 Neither structure performs any floating-point arithmetic of its own —
 times are stored and compared exactly as the engine computed them — so
@@ -45,7 +46,7 @@ class EventCalendar:
     Parameters
     ----------
     wake:
-        The engine's wake-time array (shared by reference).  An entry is
+        The engine's per-thread wake times (shared by reference).  An entry is
         valid iff its stored time equals ``wake[tid]`` bitwise; setting
         ``wake[tid]`` to ``inf`` (or any other value) invalidates all
         of that thread's outstanding entries.
@@ -53,7 +54,7 @@ class EventCalendar:
 
     __slots__ = ("_heap", "_wake")
 
-    def __init__(self, wake: np.ndarray) -> None:
+    def __init__(self, wake: list[float]) -> None:
         self._heap: list[tuple[float, int]] = []
         self._wake = wake
 
@@ -104,76 +105,78 @@ class EventCalendar:
         return due
 
 
+
+
 class RunnableIndex:
-    """Incrementally-maintained runnable thread set.
+    """The runnable thread set, packed into slots ``0 .. count-1``.
+
+    Each runnable thread owns one slot; its rate-step state (remaining
+    work, platform penalty, contention coefficient) lives in the per-slot
+    arrays, so the engine's rate step is a handful of numpy expressions
+    over ``[:count]`` views.  Slot order is insertion order, not tid
+    order: callers whose arithmetic depends on thread order sort first.
 
     Attributes
     ----------
-    mask:
-        Boolean membership mask over all threads.
+    tids:
+        int64 tid of each slot (valid in ``[:count]``).
+    pos:
+        Slot of each tid, ``-1`` when not runnable (a list: the engine
+        reads it one tid at a time).
     count:
-        Number of runnable threads (``mask.sum()`` without the scan).
+        Number of runnable threads.
     group_counts:
         int64 per-group runnable counts; ``key()`` turns them into a
         hashable cache key for per-multiset rate records.
+    rem, pp, gm:
+        float64 per-slot remaining work of the current compute segment,
+        its platform penalty, and ``gamma * mem_intensity``.
     """
 
-    __slots__ = (
-        "mask",
-        "count",
-        "group_counts",
-        "_group_of",
-        "_groups_run",
-        "_indices",
-        "_dirty",
-    )
+    __slots__ = ("tids", "pos", "count", "group_counts", "rem", "pp", "gm")
 
-    def __init__(self, n_threads: int, n_groups: int, group_of: np.ndarray) -> None:
-        self.mask = np.zeros(n_threads, dtype=bool)
+    def __init__(self, n_threads: int, n_groups: int) -> None:
+        self.tids = np.zeros(n_threads, dtype=np.int64)
+        self.pos = [-1] * n_threads
         self.count = 0
         self.group_counts = np.zeros(n_groups, dtype=np.int64)
-        self._group_of = group_of
-        self._groups_run = np.empty(0, dtype=np.int64)
-        self._indices = np.empty(0, dtype=np.int64)
-        self._dirty = False
+        self.rem = np.zeros(n_threads)
+        # unused slots keep a finite penalty: a masked-out lane of the
+        # batched step must not divide by zero
+        self.pp = np.ones(n_threads)
+        self.gm = np.zeros(n_threads)
 
-    def add(self, tid: int, group: int) -> None:
+    def add(
+        self, tid: int, group: int, rem: float, pp: float, gm: float
+    ) -> None:
         """Thread ``tid`` became runnable (caller checked it was not)."""
-        self.mask[tid] = True
-        self.count += 1
+        k = self.count
+        self.tids[k] = tid
+        self.pos[tid] = k
+        self.rem[k] = rem
+        self.pp[k] = pp
+        self.gm[k] = gm
+        self.count = k + 1
         self.group_counts[group] += 1
-        self._dirty = True
 
     def remove(self, tid: int, group: int) -> None:
-        """Thread ``tid`` stopped being runnable (caller checked it was)."""
-        self.mask[tid] = False
-        self.count -= 1
+        """Thread ``tid`` stopped being runnable (caller checked it was).
+
+        The last slot moves into the hole, with its per-slot state.
+        """
+        pos = self.pos
+        k = pos[tid]
+        last = self.count - 1
+        if k != last:
+            moved = int(self.tids[last])
+            self.tids[k] = moved
+            pos[moved] = k
+            self.rem[k] = self.rem[last]
+            self.pp[k] = self.pp[last]
+            self.gm[k] = self.gm[last]
+        pos[tid] = -1
+        self.count = last
         self.group_counts[group] -= 1
-        self._dirty = True
-
-    def remove_array(self, tids: np.ndarray) -> None:
-        """Batch removal (vectorized wave advance)."""
-        self.mask[tids] = False
-        self.count -= int(tids.size)
-        if self.group_counts.size == 1:
-            self.group_counts[0] -= int(tids.size)
-        else:
-            np.subtract.at(self.group_counts, self._group_of[tids], 1)
-        self._dirty = True
-
-    def indices(self) -> np.ndarray:
-        """Sorted runnable tids; rescans only after membership changed."""
-        if self._dirty:
-            self._indices = np.flatnonzero(self.mask)
-            self._groups_run = self._group_of[self._indices]
-            self._dirty = False
-        return self._indices
-
-    def groups_run(self) -> np.ndarray:
-        """Group of each runnable thread, aligned with :meth:`indices`."""
-        if self._dirty:
-            self.indices()
-        return self._groups_run
 
     def key(self) -> bytes:
         """Hashable key of the per-group runnable multiset."""

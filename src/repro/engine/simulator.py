@@ -29,8 +29,8 @@ excluded, enabling consolidation studies on top of the reproduction.
 State changes only at events — a segment completing, an IO/communication
 wake-up, an arrival, a barrier release — so jumping straight to the next
 event is exact, and identical threads finishing together are handled in
-one step.  Thread state lives in numpy arrays; each step is O(threads)
-vectorized work.
+one step.  The runnable threads' step state lives in packed numpy slot
+arrays; each step is O(runnable) vectorized work.
 
 Overheads are charged **in expectation** (probability x penalty per
 event); run-to-run variance comes from the workload builders' seeded
@@ -56,19 +56,27 @@ the same operands):
   array across every live simulator, so a batch of paired reps costs
   little more memory than its distinct columns.
 
-* **Indexed event calendar** (:mod:`repro.engine.calendar`): pending
-  wake-ups and arrivals live in a lazy-deletion heap, and the runnable
-  set in an incrementally-maintained index, replacing per-step
-  full-array scans (``flatnonzero`` over all threads, ``min`` over all
-  pending wakes).
+* **Indexed event calendar and packed runnable set**
+  (:mod:`repro.engine.calendar`): pending wake-ups and arrivals live in
+  a lazy-deletion heap (no ``min`` over all pending wakes), and the
+  runnable threads in a packed slot set that also holds each one's
+  remaining work, platform penalty and contention coefficient.  The
+  rate step works on contiguous ``[:n_run]`` views of those slot
+  arrays: no ``flatnonzero``, gather or scatter over all threads.
+  Slots are in insertion order, so everything whose result depends on
+  thread order runs in ascending tid order: completed segments are
+  sorted by tid before they are visited (disk-queue depth and float
+  accumulation order depend on it), and the multi-group/weighted path
+  and the profiler hooks work on tid-sorted copies (water-filling and
+  the profiler's stretch sums add across threads).  Per-thread state
+  only scalar Python code touches (``state``, ``wake``, ``finish``, ...)
+  is kept in lists.
 
 * **Cached rate records**: the per-group share/efficiency/timeslice
   computation depends only on the per-group runnable multiset, so it is
   computed once per distinct multiset and reused; counter accumulation
-  collapses to scalar arithmetic on cached coefficients.  Homogeneous
-  completion waves (many identical threads finishing in one step) are
-  advanced through a vectorized batch path with the order-sensitive
-  parts (disk-queue depth, float accumulation order) kept sequential.
+  collapses to scalar arithmetic on cached coefficients, in locals that
+  are written back to the counters when the run returns or raises.
 """
 
 from __future__ import annotations
@@ -120,9 +128,6 @@ _CAUSE_IO = 1
 _CAUSE_COMM = 2
 
 _EPS = 1e-12
-
-# completion waves at least this large take the vectorized batch path
-_WAVE_MIN = 8
 
 
 def _waterfill(weights: np.ndarray, capacity: float) -> np.ndarray:
@@ -183,10 +188,10 @@ class EngineConfig:
     latency:
         Optional :class:`~repro.obs.sketch.LatencyRecorder` observing
         per-issue simulated waits (``io_wait`` / ``comm_wait`` /
-        ``barrier_wait``).  Unlike a trace sink it does not flip the
-        engine onto the traced scalar path — the vectorized wave and
-        batched legs keep running and feed it through the same issue
-        methods — so results are byte-identical with or without it, and
+        ``barrier_wait``).  Unlike a trace sink it does not make a run
+        batch-ineligible — the batched leg keeps running and feeds it
+        through the same issue methods — so results are byte-identical
+        with or without it, and
         detached (the default) the cost is one ``is not None`` check per
         issue.
     """
@@ -439,16 +444,16 @@ class Simulator:
         n = tid
         self.n_threads = n
 
-        self.state = np.full(n, _PRE, dtype=np.int8)
-        self.remaining = np.zeros(n)
-        self.wake = np.asarray(arrivals, dtype=float)
+        # per-thread state read and written one tid at a time by scalar
+        # code is kept in lists; seg_ptr and pending_extra stay numpy
+        # because the batched engine writes them vectorized
+        self.state = [_PRE] * n
+        self.wake = [float(a) for a in arrivals]
         self.seg_ptr = np.full(n, -1, dtype=np.int64)
-        self.mem_int = np.zeros(n)
-        self.platform_penalty = np.ones(n)
-        self.finish = np.full(n, np.nan)
-        self.blocked_cause = np.zeros(n, dtype=np.int8)
-        self.is_disk_io = np.zeros(n, dtype=bool)
-        self.barrier_enter = np.zeros(n)
+        self.finish = [math.nan] * n
+        self.blocked_cause = [0] * n
+        self.is_disk_io = [False] * n
+        self.barrier_enter = [0.0] * n
         self.pending_extra = np.zeros(n)
         self.group_of = np.asarray(group_of_list, dtype=np.int64)
         self.thread_weight = np.asarray(weights, dtype=float)
@@ -539,8 +544,8 @@ class Simulator:
         self._calendar = EventCalendar(self.wake)
         for j, a in enumerate(arrivals):
             self._calendar.schedule(j, a)
-        self._index = RunnableIndex(n, self.n_groups, self.group_of)
-        self._gm = np.zeros(n)  # gamma * mem_intensity of current segment
+        self._index = RunnableIndex(n, self.n_groups)
+        self._queue: list[int] = []  # barrier-cascade work queue
 
         # emit calls are skipped entirely for the exact null sink; traced
         # runs keep the fully sequential path so the event stream is the
@@ -600,7 +605,7 @@ class Simulator:
             self._steady0 * busy,
             self._bg0 * busy,
             1.0 - 1.0 / mig,
-            float(ts),
+            round(float(ts), 6),  # timeslice histogram key
             share,
             n - busy,  # runnable-but-waiting thread count
         )
@@ -654,7 +659,7 @@ class Simulator:
             float((self._g_background * busy_g).sum()),
             1.0 - 1.0 / mig_g,
             [
-                (float(timeslice_g[g]), float(busy_g[g]))
+                (round(float(timeslice_g[g]), 6), float(busy_g[g]))
                 for g in range(self.n_groups)
                 if active[g]
             ],
@@ -724,7 +729,8 @@ class Simulator:
 
         Handles cascades (barrier releases) iteratively via a work queue.
         """
-        queue = [i]
+        queue = self._queue
+        queue.append(i)
         while queue:
             j = queue.pop()
             self._advance_one(j, t, queue)
@@ -744,7 +750,7 @@ class Simulator:
                         TraceEvent(t, EventKind.OP_COMPLETE, j, response)
                     )
         index = self._index
-        mask = index.mask
+        pos = index.pos
         kind_l = c.kind_l
         while True:
             row += 1
@@ -753,7 +759,7 @@ class Simulator:
                 self.state[j] = _DONE
                 self.finish[j] = t
                 self.n_done += 1
-                if mask[j]:
+                if pos[j] >= 0:
                     index.remove(j, self._group_of_l[j])
                 if self._traced:
                     self.trace.emit(TraceEvent(t, EventKind.THREAD_DONE, j))
@@ -764,19 +770,22 @@ class Simulator:
                 self.state[j] = _RUN
                 # re-warm work owed from preceding IRQ wake-ups executes
                 # at the head of the next compute burst
-                self.remaining[j] = c.work_l[row] + self.pending_extra[j]
+                rem = c.work_l[row] + self.pending_extra[j]
                 self.pending_extra[j] = 0.0
-                self.mem_int[j] = c.mem_l[row]
-                self.platform_penalty[j] = c.pp_l[row]
-                self._gm[j] = self._gamma * c.mem_l[row]
-                self.wake[j] = np.inf
-                if not mask[j]:
-                    index.add(j, self._group_of_l[j])
+                gm = self._gamma * c.mem_l[row]
+                self.wake[j] = math.inf
+                slot = pos[j]
+                if slot >= 0:
+                    index.rem[slot] = rem
+                    index.pp[slot] = c.pp_l[row]
+                    index.gm[slot] = gm
+                else:
+                    index.add(j, self._group_of_l[j], rem, c.pp_l[row], gm)
                 return
             if k == KIND_IO:
                 self.seg_ptr[j] = row - base
                 self.state[j] = _BLOCK
-                if mask[j]:
+                if pos[j] >= 0:
                     index.remove(j, self._group_of_l[j])
                 self._issue_io(j, row, t)
                 return
@@ -788,8 +797,8 @@ class Simulator:
                 if rem > 0:
                     self.state[j] = _BARRIER
                     self.barrier_enter[j] = t
-                    self.wake[j] = np.inf
-                    if mask[j]:
+                    self.wake[j] = math.inf
+                    if pos[j] >= 0:
                         index.remove(j, self._group_of_l[j])
                     self.barrier_waiters.setdefault(key, []).append(j)
                     if self._traced:
@@ -818,75 +827,10 @@ class Simulator:
             # KIND_COMM
             self.seg_ptr[j] = row - base
             self.state[j] = _BLOCK
-            if mask[j]:
+            if pos[j] >= 0:
                 index.remove(j, self._group_of_l[j])
             self._issue_comm(j, row, t)
             return
-
-    # ------------------------------------------------------------------
-    # vectorized wave advance
-
-    def _advance_wave(self, batch: np.ndarray, t: float) -> None:
-        """Advance a completion wave of compute segments in one pass.
-
-        Only reached when tracing is off.  Falls back to the sequential
-        path when any thread's next segment is a barrier (releases
-        cascade in data-dependent order).  Marked-operation recording
-        and IO/communication issue stay sequential in ascending thread
-        id: disk-queue depth feeds back into IO durations, and float
-        accumulation order is part of the bit-for-bit contract.
-        """
-        c = self._compiled
-        ptr = self.seg_ptr[batch]
-        rows = c.seg_base[batch] + ptr
-        nrows = rows + 1
-        live = nrows < c.seg_base[batch + 1]
-        nkind = np.where(live, c.kind[np.where(live, nrows, 0)], -1)
-        if (nkind == KIND_BARRIER).any():
-            for j in batch.tolist():
-                self.remaining[j] = 0.0
-                self._advance(j, t)
-            return
-        mm = c.mark_mask[rows]
-        if mm.any():
-            resp = self.op_responses
-            ogr = self.op_group
-            gof = self._group_of_l
-            submit = c.mark_submit_l
-            for j, row in zip(batch[mm].tolist(), rows[mm].tolist()):
-                resp.append(t - submit[row])
-                ogr.append(gof[j])
-        self.remaining[batch] = 0.0
-        self.seg_ptr[batch] = ptr + 1
-        done = ~live
-        if done.any():
-            dj = batch[done]
-            self.state[dj] = _DONE
-            self.finish[dj] = t
-            self.n_done += int(done.sum())
-        comp = nkind == KIND_COMPUTE
-        if comp.any():
-            cj = batch[comp]
-            crows = nrows[comp]
-            self.remaining[cj] = c.work[crows] + self.pending_extra[cj]
-            self.pending_extra[cj] = 0.0
-            m = c.mem[crows]
-            self.mem_int[cj] = m
-            self.platform_penalty[cj] = c.pp[crows]
-            self._gm[cj] = self._gamma * m
-            # state stays _RUN, wake stays inf: no index change
-        ioc = ~done & ~comp
-        if ioc.any():
-            self.state[batch[ioc]] = _BLOCK
-            kind_l = c.kind_l
-            for j, row in zip(batch[ioc].tolist(), nrows[ioc].tolist()):
-                if kind_l[row] == KIND_IO:
-                    self._issue_io(j, row, t)
-                else:
-                    self._issue_comm(j, row, t)
-        gone = done | ioc
-        if gone.any():
-            self._index.remove_array(batch[gone])
 
     # ------------------------------------------------------------------
     # main loop
@@ -900,174 +844,224 @@ class Simulator:
         trace = self.trace
         prof = self._profiler
         cnt = self.counters
+        tsw = cnt.timeslice_weight
         single = self._single
         state = self.state
         wake = self.wake
         sg_cache = self._sg_cache
         mg_cache = self._mg_cache
-        while self.n_done < self.n_threads:
-            steps += 1
-            if steps > self.max_steps:
-                raise SimulationError(
-                    f"exceeded {self.max_steps} engine steps at t={self.t:.3f}s"
-                )
+        thrash0 = self._thrash0
+        p_mig0 = self._p_mig0
+        ctx_cost = self._ctx_cost
+        cgsw0 = self._cgsw0
+        # the rate-step counter fields are written only by this loop (the
+        # batched engine relies on that), so they accumulate in locals
+        busy_cs = cnt.busy_core_seconds
+        useful_cs = cnt.useful_core_seconds
+        sched_events = cnt.sched_events
+        migrations = cnt.migrations
+        ctx_time = cnt.ctx_switch_time
+        cgroup_time = cnt.cgroup_time
+        mig_time = cnt.migration_time
+        bg_time = cnt.background_time
+        wait_s = cnt.sched_wait_seconds
+        try:
+            while self.n_done < self.n_threads:
+                steps += 1
+                if steps > self.max_steps:
+                    raise SimulationError(
+                        f"exceeded {self.max_steps} engine steps "
+                        f"at t={self.t:.3f}s"
+                    )
 
-            # 1. deliver due wake-ups / arrivals (ascending thread id)
-            due = cal.pop_due(self.t + _EPS)
-            if due:
-                for j in due:
-                    if state[j] == _PRE:
-                        if traced:
-                            trace.emit(TraceEvent(self.t, EventKind.ARRIVAL, j))
-                    elif self.blocked_cause[j] == _CAUSE_IO:
-                        if self.is_disk_io[j]:
-                            self.outstanding_disk -= 1
-                        if traced:
-                            trace.emit(TraceEvent(self.t, EventKind.IO_WAKE, j))
-                    else:
-                        if traced:
+                # 1. deliver due wake-ups / arrivals (ascending thread id)
+                due = cal.pop_due(self.t + _EPS)
+                if due:
+                    for j in due:
+                        if state[j] == _PRE:
+                            if traced:
+                                trace.emit(
+                                    TraceEvent(self.t, EventKind.ARRIVAL, j)
+                                )
+                        elif self.blocked_cause[j] == _CAUSE_IO:
+                            if self.is_disk_io[j]:
+                                self.outstanding_disk -= 1
+                            if traced:
+                                trace.emit(
+                                    TraceEvent(self.t, EventKind.IO_WAKE, j)
+                                )
+                        elif traced:
                             trace.emit(
                                 TraceEvent(self.t, EventKind.COMM_DONE, j)
                             )
-                    wake[j] = np.inf
-                    self._advance(j, self.t)
-                continue
+                        wake[j] = math.inf
+                        self._advance(j, self.t)
+                    continue
 
-            n_run = index.count
+                n_run = index.count
 
-            # 2. nothing runnable: jump to the next wake-up
-            if n_run == 0:
-                next_wake = cal.next_time()
-                if not math.isfinite(next_wake):
-                    raise SimulationError(
-                        "deadlock: no runnable threads and no pending wake-ups "
-                        f"({self.n_done}/{self.n_threads} done; barriers "
-                        f"waiting: "
-                        f"{sum(len(v) for v in self.barrier_waiters.values())})"
-                    )
-                self.t = max(self.t, next_wake)
-                continue
-
-            run_idx = index.indices()
-
-            # 3. two-level processor-sharing rates (cached per multiset)
-            if single:
-                rec = sg_cache.get(n_run)
-                if rec is None:
-                    rec = self._sg_record(n_run)
-                (cfac, mig, num, busy, ev_coeff, u_coeff, s_coeff, b_coeff,
-                 migfac, ts_f, share_f, w_coeff) = rec
-                cont = 1.0 + self._gm[run_idx] * cfac
-                slow = self.platform_penalty[run_idx] * cont
-                slow *= mig
-                slow *= self._thrash0
-                rate = num / slow
-            else:
-                key = n_run if self.n_groups == 1 else index.key()
-                rec = mg_cache.get(key)
-                if rec is None:
-                    rec = self._mg_record(key)
-                (cfac, mig_g, num_g, eff_g, host_scale, busy_g, ev_coeff_g,
-                 busy_sum, u_sum, s_sum, b_sum, migfac_g, ts_items,
-                 share_g, w_sum) = rec
-                groups_run = index.groups_run()
-                cont = 1.0 + self._gm[run_idx] * cfac
-                slow = self.platform_penalty[run_idx] * cont
-                slow *= mig_g[groups_run]
-                slow *= self._g_thrash[groups_run]
-                if self._uniform_weights:
-                    rate = num_g[groups_run] / slow
-                else:
-                    # CFS group weights: water-fill each instance's capacity
-                    # proportionally to the runnable threads' weights
-                    thread_share = np.empty(n_run)
-                    for g in range(self.n_groups):
-                        gmask = groups_run == g
-                        if not gmask.any():
-                            continue
-                        cap = float(self._g_capacity[g]) * host_scale
-                        thread_share[gmask] = _waterfill(
-                            self.thread_weight[run_idx[gmask]], cap
+                # 2. nothing runnable: jump to the next wake-up
+                if n_run == 0:
+                    next_wake = cal.next_time()
+                    if not math.isfinite(next_wake):
+                        waiting = sum(
+                            len(v) for v in self.barrier_waiters.values()
                         )
-                    rate = (thread_share * eff_g[groups_run]) / slow
+                        raise SimulationError(
+                            "deadlock: no runnable threads and no pending "
+                            f"wake-ups ({self.n_done}/{self.n_threads} "
+                            f"done; barriers waiting: {waiting})"
+                        )
+                    self.t = max(self.t, next_wake)
+                    continue
 
-            ttf = self.remaining[run_idx] / rate
-            dt_finish = float(ttf.min())
-            next_wake = cal.next_time()
-            dt = min(dt_finish, next_wake - self.t)
-            if dt < 0:
-                dt = 0.0
-
-            # 4. advance and account
-            if dt > 0:
-                self.remaining[run_idx] -= rate * dt
+                # 3. two-level processor-sharing rates (cached per
+                # multiset) on the packed slots [:n_run]
                 if single:
-                    busy_dt = busy * dt
-                    e = ev_coeff * dt
-                    cnt.busy_core_seconds += busy_dt
-                    cnt.useful_core_seconds += u_coeff * dt
-                    cnt.sched_events += e
-                    cnt.migrations += e * self._p_mig0
-                    cnt.ctx_switch_time += e * self._ctx_cost
-                    cnt.cgroup_time += s_coeff * dt + e * self._cgsw0
-                    cnt.migration_time += busy_dt * migfac
-                    cnt.background_time += b_coeff * dt
-                    cnt.sched_wait_seconds += w_coeff * dt
-                    cnt.add_timeslice(ts_f, busy_dt)
+                    rec = sg_cache.get(n_run)
+                    if rec is None:
+                        rec = self._sg_record(n_run)
+                    (cfac, mig, num, busy, ev_coeff, u_coeff, s_coeff,
+                     b_coeff, migfac, ts_key, share_f, w_coeff) = rec
+                    pp = index.pp[:n_run]
+                    # skip only exact no-op multiplies: with cfac == 0
+                    # every lane of cont is exactly 1.0
+                    slow = pp if cfac == 0.0 else pp * (
+                        1.0 + index.gm[:n_run] * cfac
+                    )
+                    if mig != 1.0:
+                        slow = slow * mig
+                    if thrash0 != 1.0:
+                        slow = slow * thrash0
+                    rate = num / slow
+                    rem = index.rem[:n_run]
                 else:
-                    events_g = ev_coeff_g * dt
-                    e_sum = float(events_g.sum())
-                    cnt.busy_core_seconds += busy_sum * dt
-                    cnt.useful_core_seconds += u_sum * dt
-                    cnt.sched_events += e_sum
-                    cnt.migrations += float((events_g * self._g_p_mig).sum())
-                    cnt.ctx_switch_time += e_sum * self._ctx_cost
-                    cnt.cgroup_time += float(
-                        s_sum * dt + (events_g * self._g_cgroup_switch).sum()
-                    )
-                    cnt.migration_time += float(
-                        ((busy_g * dt) * migfac_g).sum()
-                    )
-                    cnt.background_time += b_sum * dt
-                    cnt.sched_wait_seconds += w_sum * dt
-                    for tsl, busy_f in ts_items:
-                        cnt.add_timeslice(tsl, busy_f * dt)
-                if prof is not None:
-                    if single:
-                        prof.on_step_single(
-                            self.t, dt, n_run, rec, run_idx, rate, cont
-                        )
+                    key = n_run if self.n_groups == 1 else index.key()
+                    rec = mg_cache.get(key)
+                    if rec is None:
+                        rec = self._mg_record(key)
+                    (cfac, mig_g, num_g, eff_g, host_scale, busy_g,
+                     ev_coeff_g, busy_sum, u_sum, s_sum, b_sum, migfac_g,
+                     ts_items, share_g, w_sum) = rec
+                    # water-filling sums across threads: work in tid order
+                    order = np.argsort(index.tids[:n_run])
+                    run_idx = index.tids[:n_run][order]
+                    groups_run = self.group_of[run_idx]
+                    pp = index.pp[:n_run][order]
+                    cont = 1.0 + index.gm[:n_run][order] * cfac
+                    slow = pp * cont
+                    slow *= mig_g[groups_run]
+                    slow *= self._g_thrash[groups_run]
+                    if self._uniform_weights:
+                        rate = num_g[groups_run] / slow
                     else:
-                        prof.on_step_multi(
-                            self.t, dt, n_run, rec, run_idx, rate, cont,
-                            groups_run,
-                            None if self._uniform_weights else thread_share,
-                        )
-                self.t += dt
-                if self.t > self.max_time:
-                    raise SimulationError(
-                        f"exceeded max simulation time {self.max_time}s "
-                        f"({self.n_done}/{self.n_threads} threads done)"
-                    )
+                        # CFS group weights: water-fill each instance's
+                        # capacity proportionally to the runnable
+                        # threads' weights
+                        thread_share = np.empty(n_run)
+                        for g in range(self.n_groups):
+                            gmask = groups_run == g
+                            if not gmask.any():
+                                continue
+                            cap = float(self._g_capacity[g]) * host_scale
+                            thread_share[gmask] = _waterfill(
+                                self.thread_weight[run_idx[gmask]], cap
+                            )
+                        rate = (thread_share * eff_g[groups_run]) / slow
+                    rem = index.rem[:n_run][order]
 
-            # 5. complete finished compute segments (grouped waves)
-            finished = run_idx[ttf <= dt + _EPS]
-            if finished.size >= _WAVE_MIN and not traced:
-                self._advance_wave(finished, self.t)
-            else:
+                ttf = rem / rate
+                dt_finish = float(ttf.min())
+                next_wake = cal.next_time()
+                dt = min(dt_finish, next_wake - self.t)
+                if dt < 0:
+                    dt = 0.0
+
+                # 4. advance and account
+                if dt > 0:
+                    if single:
+                        rem -= rate * dt
+                        busy_dt = busy * dt
+                        e = ev_coeff * dt
+                        busy_cs += busy_dt
+                        useful_cs += u_coeff * dt
+                        sched_events += e
+                        migrations += e * p_mig0
+                        ctx_time += e * ctx_cost
+                        cgroup_time += s_coeff * dt + e * cgsw0
+                        mig_time += busy_dt * migfac
+                        bg_time += b_coeff * dt
+                        wait_s += w_coeff * dt
+                        tsw[ts_key] = tsw.get(ts_key, 0.0) + busy_dt
+                        if prof is not None:
+                            order = np.argsort(index.tids[:n_run])
+                            prof.on_step_single(
+                                self.t, dt, n_run, rec,
+                                index.tids[:n_run][order], rate[order],
+                                (1.0 + index.gm[:n_run] * cfac)[order],
+                                pp[order],
+                            )
+                    else:
+                        index.rem[:n_run][order] = rem - rate * dt
+                        events_g = ev_coeff_g * dt
+                        e_sum = float(events_g.sum())
+                        busy_cs += busy_sum * dt
+                        useful_cs += u_sum * dt
+                        sched_events += e_sum
+                        migrations += float((events_g * self._g_p_mig).sum())
+                        ctx_time += e_sum * ctx_cost
+                        cgroup_time += float(
+                            s_sum * dt
+                            + (events_g * self._g_cgroup_switch).sum()
+                        )
+                        mig_time += float(((busy_g * dt) * migfac_g).sum())
+                        bg_time += b_sum * dt
+                        wait_s += w_sum * dt
+                        for tsl, busy_f in ts_items:
+                            tsw[tsl] = tsw.get(tsl, 0.0) + busy_f * dt
+                        if prof is not None:
+                            prof.on_step_multi(
+                                self.t, dt, n_run, rec, run_idx, rate, cont,
+                                pp, groups_run,
+                                None if self._uniform_weights
+                                else thread_share,
+                            )
+                    self.t += dt
+                    if self.t > self.max_time:
+                        raise SimulationError(
+                            f"exceeded max simulation time {self.max_time}s "
+                            f"({self.n_done}/{self.n_threads} threads done)"
+                        )
+
+                # 5. complete finished compute segments in ascending tid
+                # order (disk-queue depth and float accumulation order
+                # depend on it)
+                if single:
+                    finished = index.tids[:n_run][ttf <= dt + _EPS].tolist()
+                    finished.sort()
+                else:
+                    finished = run_idx[ttf <= dt + _EPS].tolist()
                 for j in finished:
-                    j = int(j)
-                    self.remaining[j] = 0.0
                     if traced:
                         trace.emit(
                             TraceEvent(self.t, EventKind.COMPUTE_DONE, j)
                         )
                     self._advance(j, self.t)
+        finally:
+            cnt.busy_core_seconds = busy_cs
+            cnt.useful_core_seconds = useful_cs
+            cnt.sched_events = sched_events
+            cnt.migrations = migrations
+            cnt.ctx_switch_time = ctx_time
+            cnt.cgroup_time = cgroup_time
+            cnt.migration_time = mig_time
+            cnt.background_time = bg_time
+            cnt.sched_wait_seconds = wait_s
 
         return self._build_result()
 
     def _build_result(self) -> EngineResult:
-        finish = self.finish
+        finish = np.asarray(self.finish, dtype=float)
         makespan = float(np.nanmax(finish)) if finish.size else 0.0
         responses = np.asarray(self.op_responses, dtype=float)
         op_groups = np.asarray(self.op_group, dtype=np.int64)

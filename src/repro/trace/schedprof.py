@@ -400,10 +400,14 @@ class SchedProfiler:
         self.st_thrash += float((wgt * l_th).sum())
 
     def on_step_single(
-        self, t0, dt, n_run, rec, run_idx, rate, cont
+        self, t0, dt, n_run, rec, run_idx, rate, cont, pp
     ) -> None:
         """Engine hook after one single-group accounting step of length
-        ``dt`` starting at ``t0`` (before the clock advances)."""
+        ``dt`` starting at ``t0`` (before the clock advances).
+
+        ``run_idx`` holds the runnable tids in ascending order and
+        ``rate``, ``cont`` and ``pp`` (platform penalty) are aligned
+        with it, so the stretch sums add in tid order."""
         sim = self._sim
         (cfac, mig, num, busy, ev_coeff, u_coeff, s_coeff, b_coeff,
          migfac, ts_f, share, w_coeff) = rec
@@ -418,7 +422,7 @@ class SchedProfiler:
         s = (num - rate) * dt
         self._stretch(
             s,
-            np.log(sim.platform_penalty[run_idx]),
+            np.log(pp),
             np.log(cont),
             math.log(mig),
             math.log(sim._thrash0),
@@ -428,12 +432,14 @@ class SchedProfiler:
         self._push_step(t0, dt, busy)
 
     def on_step_multi(
-        self, t0, dt, n_run, rec, run_idx, rate, cont, groups_run,
+        self, t0, dt, n_run, rec, run_idx, rate, cont, pp, groups_run,
         thread_share,
     ) -> None:
-        """Engine hook after one multi-group accounting step;
-        ``thread_share`` is the water-filled per-thread share array on
-        the weighted path, ``None`` on the uniform path."""
+        """Engine hook after one multi-group accounting step; the
+        per-thread arrays are aligned with the ascending tids
+        ``run_idx``, and ``thread_share`` is the water-filled per-thread
+        share array on the weighted path, ``None`` on the uniform
+        path."""
         sim = self._sim
         (cfac, mig_g, num_g, eff_g, host_scale, busy_g, ev_coeff_g,
          busy_sum, u_sum, s_sum, b_sum, migfac_g, ts_items,
@@ -464,7 +470,7 @@ class SchedProfiler:
         s = (num_t - rate) * dt
         self._stretch(
             s,
-            np.log(sim.platform_penalty[run_idx]),
+            np.log(pp),
             np.log(cont),
             np.log(mig_g)[groups_run],
             np.log(sim._g_thrash)[groups_run],
@@ -495,7 +501,7 @@ class SchedProfiler:
         # IRQ re-warm work retired into compute bursts: everything the
         # IO segments charged minus what a trailing IO left unretired
         rewarm = float(c.io_extra.sum()) - float(sim.pending_extra.sum())
-        finish = sim.finish.copy()
+        finish = np.array(sim.finish, dtype=float)
         ledger = {
             "granted": self.granted_total,
             "sched_wait": self.sched_wait_total,

@@ -462,9 +462,9 @@ class TestAuthoringObjectsReleased:
 
 class TestWaveScalarEquivalence:
     def test_homogeneous_wave_matches_traced_scalar_path(self):
-        """A 64-thread homogeneous wave (batched advance) must produce
-        bit-identical results to the traced run, which always takes the
-        sequential per-thread path."""
+        """64 identical threads finishing together in one step must
+        produce bit-identical results with and without a trace sink
+        (traced runs emit per-thread events as they advance)."""
 
         def build():
             return [
@@ -524,36 +524,77 @@ class TestEventCalendar:
 
 
 class TestRunnableIndex:
+    @staticmethod
+    def _members(idx):
+        return sorted(idx.tids[: idx.count].tolist())
+
     def test_incremental_counts_and_indices(self):
-        group_of = np.array([0, 0, 1, 1])
-        idx = RunnableIndex(4, 2, group_of)
-        idx.add(2, 1)
-        idx.add(0, 0)
+        idx = RunnableIndex(4, 2)
+        idx.add(2, 1, 0.5, 1.5, 0.1)
+        idx.add(0, 0, 0.25, 1.25, 0.2)
         assert idx.count == 2
-        assert list(idx.indices()) == [0, 2]
-        assert list(idx.groups_run()) == [0, 1]
+        assert idx.tids[:2].tolist() == [2, 0]  # insertion order
+        assert idx.pos == [1, -1, 0, -1]
+        assert self._members(idx) == [0, 2]
         idx.remove(0, 0)
-        assert list(idx.indices()) == [2]
+        assert self._members(idx) == [2]
+        assert idx.pos == [-1, -1, 0, -1]
         assert idx.group_counts.tolist() == [0, 1]
 
-    def test_batch_removal_updates_group_counts(self):
-        group_of = np.array([0, 1, 0, 1])
-        idx = RunnableIndex(4, 2, group_of)
+    def test_removal_moves_last_slot_and_updates_group_counts(self):
+        group_of = [0, 1, 0, 1]
+        idx = RunnableIndex(4, 2)
         for tid in range(4):
-            idx.add(tid, int(group_of[tid]))
-        idx.remove_array(np.array([1, 2]))
+            idx.add(tid, group_of[tid], 10.0 + tid, 2.0 + tid, 0.5 * tid)
+        idx.remove(1, 1)  # tid 3 moves from the last slot into slot 1
+        assert idx.tids[:3].tolist() == [0, 3, 2]
+        assert (idx.rem[1], idx.pp[1], idx.gm[1]) == (13.0, 5.0, 1.5)
+        assert idx.pos == [0, -1, 2, 1]
+        idx.remove(2, 0)  # the last slot itself: nothing moves
         assert idx.count == 2
         assert idx.group_counts.tolist() == [1, 1]
-        assert list(idx.indices()) == [0, 3]
+        assert self._members(idx) == [0, 3]
 
     def test_key_tracks_multiset_not_membership(self):
-        group_of = np.array([0, 0])
-        idx = RunnableIndex(2, 1, group_of)
-        idx.add(0, 0)
+        idx = RunnableIndex(2, 1)
+        idx.add(0, 0, 1.0, 1.0, 0.0)
         k1 = idx.key()
         idx.remove(0, 0)
-        idx.add(1, 0)  # different member, same multiset
+        idx.add(1, 0, 2.0, 1.0, 0.0)  # different member, same multiset
         assert idx.key() == k1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_add_remove_keeps_slots_consistent(self, seed):
+        """Seeded random add/remove sequence against a dict model: the
+        packed slots hold exactly the members, ``pos`` inverts ``tids``,
+        each slot's state travels with its tid, and the per-group counts
+        are right."""
+        rng = np.random.default_rng(seed)
+        n, n_groups = 40, 3
+        group_of = rng.integers(0, n_groups, size=n).tolist()
+        idx = RunnableIndex(n, n_groups)
+        model: dict[int, tuple[float, float, float]] = {}
+        for _ in range(2000):
+            tid = int(rng.integers(0, n))
+            if tid in model:
+                idx.remove(tid, group_of[tid])
+                del model[tid]
+            else:
+                state = tuple(float(v) for v in rng.random(3))
+                idx.add(tid, group_of[tid], *state)
+                model[tid] = state
+            k = idx.count
+            assert k == len(model)
+            tids = idx.tids[:k].tolist()
+            assert set(tids) == set(model)
+            for slot, t in enumerate(tids):
+                assert idx.pos[t] == slot
+                assert (idx.rem[slot], idx.pp[slot], idx.gm[slot]) == model[t]
+            assert sum(p >= 0 for p in idx.pos) == k
+            want = [0] * n_groups
+            for t in model:
+                want[group_of[t]] += 1
+            assert idx.group_counts.tolist() == want
 
 
 class TestGuards:

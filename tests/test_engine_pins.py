@@ -22,7 +22,8 @@ Regen snippet (only after an intentional engine-semantics change)::
     sys.path.insert(0, "tests")
     from test_engine_pins import CASES
     p = pathlib.Path("tests/golden/engine_counters.json")
-    p.write_text(json.dumps({k: f() for k, f in CASES.items()}, indent=2) + "\n")
+    pins = {k: f() for k, f in CASES.items()}
+    p.write_text(json.dumps(pins, indent=2) + "\n")
     EOF
 """
 
