@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=False,
         help="advance shape-compatible cells together on the batched "
-        "engine (bit-identical report; composes with --jobs/--resume)",
+        "engine (bit-identical report; pays on many short cells such as "
+        "fig3 at high reps, ~2x slower on the default campaign)",
     )
     rep_p.add_argument(
         "--adaptive-reps",
@@ -489,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=False,
         help="advance shape-compatible cells together on the batched "
-        "engine (bit-identical outputs; composes with --jobs/--resume)",
+        "engine (bit-identical outputs; ~10%% faster at --reps 4, a wash "
+        "at the defaults)",
     )
 
     obs_p = sub.add_parser(
@@ -679,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
             action=argparse.BooleanOptionalAction,
             default=False,
             help="workers advance shape-compatible cells together on the "
-            "batched engine (bit-identical report)",
+            "batched engine (bit-identical report; pays on many short "
+            "cells, ~2x slower on the thread-heavy fig5/fig6/fig8 cells)",
         )
 
     fi_p = fab_sub.add_parser(

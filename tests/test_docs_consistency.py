@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,38 @@ class TestPackageMetadata:
         examples = list((REPO / "examples").glob("*.py"))
         assert len(examples) >= 3
         assert (REPO / "examples" / "quickstart.py").exists()
+
+    def test_cited_repo_paths_exist(self):
+        # every repo path quoted as code in the docs must exist, and every
+        # ``file.py::Name`` must name a def or class of that file
+        fence = re.compile(r"^```.*?^```", re.S | re.M)
+        path = re.compile(
+            r"(?<![\w/.$-])((?:benchmarks|tests|src|docs|examples|\.github)"
+            r"/[\w./-]*[\w/])"
+        )
+        ref = re.compile(r"(?<![\w/.-])([\w/.-]+\.py)((?:::\w+)+)")
+        docs = [REPO / "README.md", REPO / "EXPERIMENTS.md", REPO / "DESIGN.md",
+                *sorted((REPO / "docs").glob("*.md"))]
+        stale = []
+        for doc in docs:
+            text = doc.read_text()
+            code = [m.group(0) for m in fence.finditer(text)]
+            code += re.findall(r"`([^`\n]+)`", fence.sub("", text))
+            for span in code:
+                stale += [f"{doc.name}: {p}" for p in path.findall(span)
+                          if not (REPO / p).exists()]
+                for name, names in ref.findall(span):
+                    files = [REPO / name] if "/" in name else [
+                        f for d in ("benchmarks", "tests", "src", "examples")
+                        for f in (REPO / d).rglob(name)
+                    ]
+                    source = "".join(f.read_text() for f in files if f.is_file())
+                    stale += [
+                        f"{doc.name}: {name}::{n}"
+                        for n in names.split("::")[1:]
+                        if not re.search(rf"^\s*(?:def|class) {n}\b", source, re.M)
+                    ]
+        assert not stale, stale
 
     def test_benchmarks_cover_every_figure_and_table(self):
         names = {p.name for p in (REPO / "benchmarks").glob("bench_*.py")}
